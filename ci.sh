@@ -234,6 +234,41 @@ print(
 )
 PYEOF
 
+echo "==> plan sweep smoke"
+# The failure sweep solves each distinct re-consolidation once and shares
+# the report among the cases that pose it: plans must not depend on the
+# thread count in either failure scope (engine stats excluded), and
+# under the all-apps scope every single-failure case is one problem.
+for scope in affected all; do
+    SCOPE_FLAG=()
+    [ "$scope" = all ] && SCOPE_FLAG=(--all-apps-relax)
+    for threads in 1 4; do
+        cargo run --release -q -p ropus-cli -- plan \
+            --traces "$OBS_TMP/traces.csv" --policy "$OBS_TMP/policy.json" \
+            --fast --json --threads "$threads" ${SCOPE_FLAG[@]+"${SCOPE_FLAG[@]}"} \
+            > "$OBS_TMP/plan-$scope-$threads.json"
+    done
+done
+cargo run --release -q -p ropus-cli -- plan \
+    --traces "$OBS_TMP/traces.csv" --policy "$OBS_TMP/policy.json" \
+    --fast --all-apps-relax --obs "det:$OBS_TMP/plan-obs.json" > /dev/null
+python3 - "$OBS_TMP" <<'PYEOF'
+import json, sys
+t = sys.argv[1]
+strip = lambda v: ({k: strip(x) for k, x in v.items() if k != "stats"} if isinstance(v, dict)
+                   else [strip(x) for x in v] if isinstance(v, list) else v)
+for scope in ("affected", "all"):
+    one, four = (strip(json.load(open(f"{t}/plan-{scope}-{n}.json"))) for n in (1, 4))
+    if one != four:
+        raise SystemExit(f"plan ({scope} scope) differs across --threads")
+counters = {c["name"]: c["value"] for c in json.load(open(f"{t}/plan-obs.json"))["counters"]}
+solves = counters.get("pipeline.failure_sweep.solves")
+if solves != 1:
+    raise SystemExit(f"all-apps failure sweep solved {solves} problems, expected 1")
+cases = len(json.load(open(f"{t}/plan-all-1.json"))["failure_analysis"]["cases"])
+print(f"plan sweep smoke: {cases} single-failure cases, {solves} solve under --all-apps-relax")
+PYEOF
+
 echo "==> fleet_10k smoke"
 # One-shot timing of the 10,000-app × 4-week plan (and the 50-app
 # reference pipeline) against a generous wall-clock budget; the

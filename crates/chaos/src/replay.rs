@@ -10,22 +10,21 @@
 //!
 //! # Determinism
 //!
-//! The replay is a pure function of its inputs. Re-placements reuse the
-//! failure-sweep worker discipline: when the consolidator is configured
-//! with more than one thread, the distinct failed-server sets are solved
-//! through the order-preserving
-//! [`parallel_map`](ropus_placement::engine::parallel_map()) while each
-//! inner search runs single-threaded, so results are bit-identical across
-//! `--threads` settings. The slot loop itself is serial.
+//! The replay is a pure function of its inputs. Re-placements go through
+//! the failure sweep's
+//! [`solve_replacements`](ropus_placement::failure::solve_replacements()):
+//! each distinct re-consolidation problem among the failed-server sets is
+//! solved once, on the order-preserving worker pool when the consolidator
+//! has more than one thread, with each inner search single-threaded, so
+//! results are bit-identical across `--threads` settings. The slot loop
+//! itself is serial.
 
 use std::collections::VecDeque;
 
 use ropus_obs::{BurnRateRule, ObsCtx, SloEngine};
 use ropus_placement::consolidate::{Consolidator, PlacementReport};
-use ropus_placement::engine::parallel_map;
-use ropus_placement::failure::FailureScope;
+use ropus_placement::failure::{solve_replacements, FailureScope, Replacement};
 use ropus_placement::migration::{MigrationConfig, MigrationOrchestrator, MigrationPhase};
-use ropus_placement::server::Pool;
 use ropus_placement::workload::Workload;
 use ropus_qos::AppQos;
 use ropus_trace::{Trace, TraceError};
@@ -771,81 +770,63 @@ fn segment_plans(
         }
     }
 
-    // One re-placement input per distinct failed set.
-    struct SetInput {
-        affected: Vec<usize>,
-        mixed: Vec<Workload>,
-        survivors: Vec<usize>,
-    }
-    let inputs: Vec<SetInput> = distinct
+    // Per distinct failed set: the displaced apps and the surviving ids.
+    let sets: Vec<(Vec<usize>, Vec<usize>)> = distinct
         .iter()
         .map(|failed| {
-            let affected: Vec<usize> = (0..n)
+            let affected = (0..n)
                 .filter(|&i| failed.contains(&normal_placement.assignment[i]))
                 .collect();
-            let mixed: Vec<Workload> = (0..n)
-                .map(|i| match options.scope {
-                    FailureScope::AllApplications => apps[i].failure_workload.clone(),
-                    FailureScope::AffectedOnly => {
-                        if affected.contains(&i) {
-                            apps[i].failure_workload.clone()
-                        } else {
-                            apps[i].normal_workload.clone()
-                        }
-                    }
-                })
-                .collect();
-            let survivors: Vec<usize> = pool_ids
+            let survivors = pool_ids
                 .iter()
                 .copied()
                 .filter(|s| !failed.contains(s))
                 .collect();
-            SetInput {
-                affected,
-                mixed,
-                survivors,
-            }
+            (affected, survivors)
         })
         .collect();
+    // One re-placement problem per set; sets that leave the same survivor
+    // count and relax the same workloads share a solve.
+    let problems: Vec<Replacement> = sets
+        .iter()
+        .map(|(affected, survivors)| Replacement {
+            survivors: survivors.len(),
+            relaxed: match options.scope {
+                FailureScope::AllApplications => (0..n).collect(),
+                FailureScope::AffectedOnly => affected.clone(),
+            },
+        })
+        .collect();
+    let normal: Vec<Workload> = apps.iter().map(|a| a.normal_workload.clone()).collect();
+    let failure: Vec<Workload> = apps.iter().map(|a| a.failure_workload.clone()).collect();
+    let (solved, solves) = solve_replacements(consolidator, &normal, &failure, &problems)?;
+    obs.counter("chaos.replan.solves", solves as u64);
 
-    // Solve the distinct sets in parallel; each inner search runs
-    // single-threaded so worker pools do not nest and results stay
-    // bit-identical across `--threads` settings.
-    let threads = consolidator.options().ga.threads;
-    let worker = if threads > 1 {
-        Consolidator::new(
-            consolidator.server(),
-            consolidator.commitments(),
-            consolidator.options().with_threads(1),
-        )
-    } else {
-        *consolidator
-    };
-    let server = consolidator.server();
-    let placements: Vec<(bool, Vec<Option<usize>>)> = parallel_map(threads, &inputs, |input| {
-        if input.survivors.is_empty() {
+    // Map each set's re-placement onto its own survivor ids.
+    let placements: Vec<(bool, Vec<Option<usize>>)> = sets
+        .iter()
+        .zip(&problems)
+        .zip(&solved)
+        .map(|(((_, survivors), problem), placement)| match placement {
             // Blackout: nowhere to run anything.
-            return (false, vec![None; n]);
-        }
-        let pool = Pool::homogeneous(server, input.survivors.len());
-        match worker.consolidate_onto(&input.mixed, pool, ObsCtx::none()) {
-            Ok(report) => {
-                let assignment = report
+            _ if survivors.is_empty() => (false, vec![None; n]),
+            Some(report) => (
+                true,
+                report
                     .assignment
                     .iter()
-                    .map(|&s| Some(input.survivors[s]))
-                    .collect();
-                (true, assignment)
-            }
+                    .map(|&s| survivors.get(s).copied())
+                    .collect(),
+            ),
             // The survivors cannot absorb the fleet within commitments:
             // fall back to deterministic best-effort packing and let the
             // slot loop degrade gracefully.
-            Err(_) => (
+            None => (
                 false,
-                best_effort_assignment(&input.mixed, &input.survivors),
+                best_effort_assignment(&problem.workloads(&normal, &failure), survivors),
             ),
-        }
-    });
+        })
+        .collect();
 
     let mut plans = Vec::with_capacity(segments.len());
     for seg in segments {
@@ -867,7 +848,7 @@ fn segment_plans(
             .iter()
             .position(|f| *f == seg.failed)
             .unwrap_or_default();
-        let input = &inputs[ix];
+        let affected = &sets[ix].0;
         let (feasible, ref assignment) = placements[ix];
         // The re-placements above ran in parallel workers; this assembly
         // loop is serial, so events keep their deterministic order.
@@ -875,19 +856,19 @@ fn segment_plans(
             .with_u64("start", seg.start as u64)
             .with_u64("end", seg.end as u64)
             .with_u64("failed", seg.failed.len() as u64)
-            .with_u64("displaced", input.affected.len() as u64)
+            .with_u64("displaced", affected.len() as u64)
             .with_str("feasible", if feasible { "true" } else { "false" })
             .emit();
         let use_failure: Vec<bool> = (0..n)
             .map(|i| match options.scope {
                 FailureScope::AllApplications => true,
-                FailureScope::AffectedOnly => input.affected.contains(&i),
+                FailureScope::AffectedOnly => affected.contains(&i),
             })
             .collect();
         plans.push(SegmentPlan {
             assignment: assignment.clone(),
             use_failure,
-            affected: input.affected.clone(),
+            affected: affected.clone(),
             feasible,
             degraded: true,
         });
@@ -1413,6 +1394,110 @@ mod tests {
         // NullClock suppresses durations on the replay spans.
         assert_eq!(snapshot.spans_named("chaos.replay.slots").count(), 1);
         assert!(snapshot.spans.iter().all(|s| s.wall_ms == 0.0));
+    }
+
+    #[test]
+    fn segment_plans_match_a_per_set_solve() {
+        // Three single-server outages and one double outage: the three
+        // singles share a survivor count, so each scope solves at most
+        // one problem per distinct relaxed set rather than one per set.
+        let cons = consolidator(4);
+        let mut apps = fleet(&[2.6, 2.4, 2.8, 2.2, 1.9, 2.5, 2.7, 2.3], WEEK);
+        // One app's failure mode really frees capacity, so the scopes
+        // differ in which failed sets share a problem.
+        apps[0].failure_workload = app("app-0", 0.5, WEEK).normal_workload;
+        let placement = normal_placement(&consolidator(1), &apps);
+        assert!(placement.servers_used >= 3, "{placement:?}");
+        let server = |k: usize| placement.servers[k].server;
+        assert!((0..3).any(|k| server(k) == placement.assignment[0]));
+        let event = |k: usize, start: usize| FailureEvent {
+            server: server(k),
+            start,
+            duration: 8,
+        };
+        let mut events = vec![event(0, 8), event(1, 24), event(2, 40), event(0, 56)];
+        events.push(event(1, 60));
+        let schedule = FailureSchedule::scripted(events).unwrap();
+        let segments = schedule.segments(WEEK);
+        let pool_ids: Vec<usize> = placement.servers.iter().map(|s| s.server).collect();
+        let serial = consolidator(1);
+        for scope in [FailureScope::AffectedOnly, FailureScope::AllApplications] {
+            let options = ReplayOptions::default().with_scope(scope);
+            let obs = ropus_obs::Obs::deterministic();
+            let plans = segment_plans(
+                &cons,
+                &placement,
+                &apps,
+                &segments,
+                &options,
+                ObsCtx::from(&obs),
+            )
+            .unwrap();
+            let mut distinct: Vec<&Vec<usize>> = Vec::new();
+            for (seg, plan) in segments.iter().zip(&plans) {
+                assert_eq!(plan.degraded, seg.is_degraded());
+                if !seg.is_degraded() {
+                    continue;
+                }
+                if !distinct.contains(&&seg.failed) {
+                    distinct.push(&seg.failed);
+                }
+                let affected: Vec<usize> = (0..apps.len())
+                    .filter(|&i| seg.failed.contains(&placement.assignment[i]))
+                    .collect();
+                let relaxed =
+                    |i: usize| scope == FailureScope::AllApplications || affected.contains(&i);
+                let mixed: Vec<Workload> = apps
+                    .iter()
+                    .enumerate()
+                    .map(|(i, a)| {
+                        if relaxed(i) {
+                            a.failure_workload.clone()
+                        } else {
+                            a.normal_workload.clone()
+                        }
+                    })
+                    .collect();
+                let survivors: Vec<usize> = pool_ids
+                    .iter()
+                    .copied()
+                    .filter(|s| !seg.failed.contains(s))
+                    .collect();
+                let pool =
+                    ropus_placement::server::Pool::homogeneous(cons.server(), survivors.len());
+                let (feasible, assignment) =
+                    match serial.consolidate_onto(&mixed, pool, ObsCtx::none()) {
+                        Ok(report) => (
+                            true,
+                            report
+                                .assignment
+                                .iter()
+                                .map(|&s| Some(survivors[s]))
+                                .collect(),
+                        ),
+                        Err(_) => (false, best_effort_assignment(&mixed, &survivors)),
+                    };
+                assert_eq!(plan.feasible, feasible, "{scope:?} {seg:?}");
+                assert_eq!(plan.assignment, assignment, "{scope:?} {seg:?}");
+                assert_eq!(plan.affected, affected);
+                let use_failure: Vec<bool> = (0..apps.len()).map(relaxed).collect();
+                assert_eq!(plan.use_failure, use_failure);
+            }
+            assert_eq!(distinct.len(), 4);
+            // Singles: app-0's server relaxes a changed workload under
+            // AffectedOnly, the other two share the unchanged problem;
+            // AllApplications makes all three one problem. The double
+            // outage is its own problem either way.
+            let expected = match scope {
+                FailureScope::AffectedOnly => 3,
+                FailureScope::AllApplications => 2,
+            };
+            assert_eq!(
+                obs.report().counter("chaos.replan.solves"),
+                expected,
+                "{scope:?}"
+            );
+        }
     }
 
     #[test]

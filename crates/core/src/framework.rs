@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 
 use ropus_obs::{Obs, ObsCtx};
 use ropus_placement::consolidate::{ConsolidationOptions, Consolidator, PlacementReport};
-use ropus_placement::failure::{analyze_single_failures, FailureAnalysis, FailureScope};
+use ropus_placement::failure::{single_failure_sweep, FailureAnalysis, FailureScope};
 use ropus_placement::server::ServerSpec;
 use ropus_placement::workload::Workload;
 use ropus_qos::analysis::{check_report, FleetSavings};
@@ -332,9 +332,9 @@ impl Framework {
             let _span = obs.span("pipeline.consolidate");
             consolidator.consolidate(&normal, obs)?
         };
-        let failure_analysis = {
+        let (failure_analysis, solves) = {
             let _span = obs.span("pipeline.failure_sweep");
-            analyze_single_failures(
+            single_failure_sweep(
                 &consolidator,
                 &normal_placement,
                 &normal,
@@ -342,6 +342,7 @@ impl Framework {
                 self.failure_scope,
             )?
         };
+        obs.counter("pipeline.failure_sweep.solves", solves as u64);
         obs.counter(
             "pipeline.failure_sweep.unsupported_cases",
             failure_analysis

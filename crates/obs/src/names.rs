@@ -24,6 +24,8 @@ pub const PIPELINE_RUNTIME_VALIDATION: &str = "pipeline.runtime_validation";
 pub const PIPELINE_FAILURE_SWEEP: &str = "pipeline.failure_sweep";
 /// Span over a chaos replay run.
 pub const PIPELINE_CHAOS_REPLAY: &str = "pipeline.chaos_replay";
+/// Count of distinct re-consolidations the failure sweep solved.
+pub const PIPELINE_FAILURE_SWEEP_SOLVES: &str = "pipeline.failure_sweep.solves";
 /// Count of failure cases the sweep could not evaluate.
 pub const PIPELINE_FAILURE_SWEEP_UNSUPPORTED_CASES: &str =
     "pipeline.failure_sweep.unsupported_cases";
@@ -70,6 +72,9 @@ pub const CHAOS_REPLAY_CARRIED_SLOTS: &str = "chaos.replay.carried_slots";
 pub const CHAOS_REPLAY_CONTENDED_SLOTS: &str = "chaos.replay.contended_slots";
 /// Count of segments whose degraded plan was infeasible.
 pub const CHAOS_REPLAY_INFEASIBLE_SEGMENTS: &str = "chaos.replay.infeasible_segments";
+/// Count of distinct re-consolidations solved for the replay's
+/// failed-server sets.
+pub const CHAOS_REPLAN_SOLVES: &str = "chaos.replan.solves";
 /// Event: a failure segment forced a replan.
 pub const CHAOS_SEGMENT_REPLAN: &str = "chaos.segment.replan";
 /// Histogram of recovery-window lengths.

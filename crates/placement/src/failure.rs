@@ -8,6 +8,8 @@
 //! otherwise the pool needs a spare (or stronger failure-mode QoS
 //! concessions).
 
+use std::collections::BTreeMap;
+
 use ropus_obs::ObsCtx;
 use serde::{Deserialize, Serialize};
 
@@ -137,12 +139,165 @@ impl MultiFailureAnalysis {
     }
 }
 
+/// One failure re-consolidation problem: re-place the whole fleet onto
+/// `survivors` servers, with the applications in `relaxed` on their
+/// failure-mode workloads and every other application on its normal one.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Replacement {
+    /// Size of the surviving homogeneous pool.
+    pub survivors: usize,
+    /// Indices of the applications switched to failure-mode QoS.
+    pub relaxed: Vec<usize>,
+}
+
+impl Replacement {
+    /// The problem's workload mix: `failure[i]` for relaxed applications,
+    /// `normal[i]` for the rest (cheap clones of shared trace buffers).
+    pub fn workloads(&self, normal: &[Workload], failure: &[Workload]) -> Vec<Workload> {
+        normal
+            .iter()
+            .zip(failure)
+            .enumerate()
+            .map(|(i, (n, f))| {
+                if self.relaxed.contains(&i) {
+                    f.clone()
+                } else {
+                    n.clone()
+                }
+            })
+            .collect()
+    }
+}
+
+/// Re-places the fleet for every problem, solving each distinct problem
+/// once. Returns one re-placement per problem, in input order (`None`
+/// when the survivors cannot absorb the fleet or no server survives),
+/// and the number of distinct problems actually solved.
+///
+/// Problems are keyed by the survivor count and the sorted set of
+/// relaxed applications whose failure-mode workload differs bit for bit
+/// ([`Workload::same_bits`]) from its normal one: a relaxed application
+/// whose failure translation equals its normal one changes nothing. Two
+/// problems with one key hand [`Consolidator::consolidate_onto`]
+/// bit-identical inputs, and that is a pure function of its inputs, so
+/// every problem sharing a key receives a clone of the one report. The
+/// distinct keys are solved on the consolidator's worker pool in
+/// first-appearance order, each search serial, so the results and the
+/// solve count are identical across thread counts. A problem with no
+/// survivors is `None` without a solve.
+///
+/// # Errors
+///
+/// Returns [`PlacementError::MisalignedWorkloads`] when `normal` and
+/// `failure` differ in length.
+pub fn solve_replacements(
+    consolidator: &Consolidator,
+    normal: &[Workload],
+    failure: &[Workload],
+    problems: &[Replacement],
+) -> Result<(Vec<Option<PlacementReport>>, usize), PlacementError> {
+    if normal.len() != failure.len() {
+        return Err(PlacementError::MisalignedWorkloads {
+            name: "failure-mode workload set".to_string(),
+        });
+    }
+    let differs: Vec<bool> = normal
+        .iter()
+        .zip(failure)
+        .map(|(n, f)| !n.same_bits(f))
+        .collect();
+    let mut keys: Vec<Replacement> = Vec::new();
+    let mut index: BTreeMap<Replacement, usize> = BTreeMap::new();
+    let slots: Vec<Option<usize>> = problems
+        .iter()
+        .map(|problem| {
+            if problem.survivors == 0 {
+                return None;
+            }
+            let mut relaxed: Vec<usize> = problem
+                .relaxed
+                .iter()
+                .copied()
+                .filter(|&i| differs.get(i).copied().unwrap_or(false))
+                .collect();
+            relaxed.sort_unstable();
+            relaxed.dedup();
+            let key = Replacement {
+                survivors: problem.survivors,
+                relaxed,
+            };
+            Some(*index.entry(key.clone()).or_insert_with(|| {
+                keys.push(key);
+                keys.len() - 1
+            }))
+        })
+        .collect();
+
+    let threads = consolidator.options().ga.threads;
+    let worker = case_worker(consolidator, threads);
+    let solved = parallel_map(threads, &keys, |key| {
+        let pool = Pool::homogeneous(consolidator.server(), key.survivors);
+        worker
+            .consolidate_onto(&key.workloads(normal, failure), pool, ObsCtx::none())
+            .ok()
+    });
+    let placements = slots
+        .into_iter()
+        .map(|slot| slot.and_then(|ix| solved.get(ix).cloned().flatten()))
+        .collect();
+    Ok((placements, keys.len()))
+}
+
+/// Sweeps every combination of `simultaneous` used servers through
+/// [`solve_replacements`]; returns the cases in lexicographic order of
+/// the combination plus the number of distinct problems solved.
+fn sweep(
+    consolidator: &Consolidator,
+    normal_report: &PlacementReport,
+    normal: &[Workload],
+    failure: &[Workload],
+    scope: FailureScope,
+    simultaneous: usize,
+) -> Result<(Vec<MultiFailureCase>, usize), PlacementError> {
+    let survivors = normal_report.servers_used.saturating_sub(simultaneous);
+    let mut cases: Vec<(Vec<usize>, Vec<usize>)> = Vec::new();
+    let mut problems: Vec<Replacement> = Vec::new();
+    for combo in combinations(normal_report.servers.len(), simultaneous) {
+        let failed_servers: Vec<usize> = combo
+            .iter()
+            .map(|&i| normal_report.servers[i].server)
+            .collect();
+        let affected: Vec<usize> = combo
+            .iter()
+            .flat_map(|&i| normal_report.servers[i].workloads.iter().copied())
+            .collect();
+        let relaxed = match scope {
+            FailureScope::AllApplications => (0..normal.len()).collect(),
+            FailureScope::AffectedOnly => affected.clone(),
+        };
+        problems.push(Replacement { survivors, relaxed });
+        cases.push((failed_servers, affected));
+    }
+    let (placements, solves) = solve_replacements(consolidator, normal, failure, &problems)?;
+    let cases = cases
+        .into_iter()
+        .zip(placements)
+        .map(|((failed_servers, affected), placement)| MultiFailureCase {
+            failed_servers,
+            affected,
+            placement,
+        })
+        .collect();
+    Ok((cases, solves))
+}
+
 /// Sweeps every combination of `simultaneous` failed servers — the
 /// paper's §III remark that the single-failure scenario "can be extended
 /// to multiple node failures".
 ///
-/// The number of cases is `C(servers_used, simultaneous)`; each runs a
-/// full consolidation, so keep `simultaneous` small for large pools.
+/// The number of cases is `C(servers_used, simultaneous)`; each distinct
+/// re-consolidation among them runs once (see [`solve_replacements`]),
+/// so keep `simultaneous` small for large pools.
 ///
 /// # Errors
 ///
@@ -170,49 +325,14 @@ pub fn analyze_multi_failures(
             ),
         });
     }
-
-    // Build every case's inputs serially, then re-place the independent
-    // cases on the sweep's worker pool.
-    let mut inputs: Vec<(Vec<usize>, Vec<usize>, Vec<Workload>)> = Vec::new();
-    for combo in combinations(normal_report.servers.len(), simultaneous) {
-        let failed_servers: Vec<usize> = combo
-            .iter()
-            .map(|&i| normal_report.servers[i].server)
-            .collect();
-        let affected: Vec<usize> = combo
-            .iter()
-            .flat_map(|&i| normal_report.servers[i].workloads.iter().copied())
-            .collect();
-        let mixed: Vec<Workload> = normal
-            .iter()
-            .enumerate()
-            .map(|(i, w)| match scope {
-                FailureScope::AllApplications => failure[i].clone(),
-                FailureScope::AffectedOnly if affected.contains(&i) => failure[i].clone(),
-                FailureScope::AffectedOnly => w.clone(),
-            })
-            .collect();
-        inputs.push((failed_servers, affected, mixed));
-    }
-
-    let threads = consolidator.options().ga.threads;
-    let worker = case_worker(consolidator, threads);
-    let pool = Pool::homogeneous(consolidator.server(), used - simultaneous);
-    let placements = parallel_map(threads, &inputs, |(_, _, mixed)| {
-        worker.consolidate_onto(mixed, pool, ObsCtx::none()).ok()
-    });
-    let cases = inputs
-        .into_iter()
-        .zip(placements)
-        .map(
-            |((failed_servers, affected, _), placement)| MultiFailureCase {
-                failed_servers,
-                affected,
-                placement,
-            },
-        )
-        .collect();
-
+    let (cases, _) = sweep(
+        consolidator,
+        normal_report,
+        normal,
+        failure,
+        scope,
+        simultaneous,
+    )?;
     Ok(MultiFailureAnalysis {
         cases,
         simultaneous,
@@ -269,54 +389,39 @@ pub fn analyze_single_failures(
     failure: &[Workload],
     scope: FailureScope,
 ) -> Result<FailureAnalysis, PlacementError> {
-    if normal.len() != failure.len() {
-        return Err(PlacementError::MisalignedWorkloads {
-            name: "failure-mode workload set".to_string(),
-        });
-    }
+    single_failure_sweep(consolidator, normal_report, normal, failure, scope)
+        .map(|(analysis, _)| analysis)
+}
 
-    // The sweep is embarrassingly parallel: each case re-consolidates an
-    // independent workload mix. Build the inputs serially (cheap clones),
-    // then fan the consolidations out over the worker pool.
-    let mut inputs: Vec<(usize, Vec<usize>, Vec<Workload>)> = Vec::new();
-    for server_placement in &normal_report.servers {
-        let affected = server_placement.workloads.clone();
-        let mixed: Vec<Workload> = normal
-            .iter()
-            .enumerate()
-            .map(|(i, w)| match scope {
-                FailureScope::AllApplications => failure[i].clone(),
-                FailureScope::AffectedOnly if affected.contains(&i) => failure[i].clone(),
-                FailureScope::AffectedOnly => w.clone(),
-            })
-            .collect();
-        inputs.push((server_placement.server, affected, mixed));
-    }
-
-    let threads = consolidator.options().ga.threads;
-    let worker = case_worker(consolidator, threads);
-    let placements = parallel_map(threads, &inputs, |(_, _, mixed)| {
-        if normal_report.servers_used <= 1 {
-            None
-        } else {
-            let pool = Pool::homogeneous(consolidator.server(), normal_report.servers_used - 1);
-            worker.consolidate_onto(mixed, pool, ObsCtx::none()).ok()
-        }
-    });
-    let cases = inputs
+/// [`analyze_single_failures`], also returning the number of distinct
+/// re-consolidations solved (1 when every case is the same problem).
+///
+/// # Errors
+///
+/// As [`analyze_single_failures`].
+pub fn single_failure_sweep(
+    consolidator: &Consolidator,
+    normal_report: &PlacementReport,
+    normal: &[Workload],
+    failure: &[Workload],
+    scope: FailureScope,
+) -> Result<(FailureAnalysis, usize), PlacementError> {
+    let (cases, solves) = sweep(consolidator, normal_report, normal, failure, scope, 1)?;
+    let cases = cases
         .into_iter()
-        .zip(placements)
-        .map(|((failed_server, affected, _), placement)| FailureCase {
-            failed_server,
-            affected,
-            placement,
+        .map(|case| FailureCase {
+            failed_server: case.failed_servers.first().copied().unwrap_or_default(),
+            affected: case.affected,
+            placement: case.placement,
         })
         .collect();
-
-    Ok(FailureAnalysis {
-        cases,
-        normal_servers: normal_report.servers_used,
-    })
+    Ok((
+        FailureAnalysis {
+            cases,
+            normal_servers: normal_report.servers_used,
+        },
+        solves,
+    ))
 }
 
 #[cfg(test)]

@@ -140,6 +140,31 @@ impl Workload {
     pub fn is_empty(&self) -> bool {
         self.cos1.is_empty()
     }
+
+    /// Whether `self` and `other` are the same workload bit for bit: equal
+    /// names, calendars, peaks, and CoS1/CoS2/memory samples compared by
+    /// [`f64::to_bits`]. Stricter than `==`, which treats `-0.0` and `0.0`
+    /// as equal; the failure sweep keys shared re-consolidations on this,
+    /// so only inputs the consolidator cannot tell apart compare equal.
+    pub fn same_bits(&self, other: &Workload) -> bool {
+        fn trace_bits(a: &Trace, b: &Trace) -> bool {
+            let (x, y) = (a.samples(), b.samples());
+            // Fast path: clones of one window are the same memory.
+            a.calendar() == b.calendar()
+                && x.len() == y.len()
+                && (std::ptr::eq(x, y) || x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits()))
+        }
+        self.name == other.name
+            && self.cos1_peak.to_bits() == other.cos1_peak.to_bits()
+            && self.total_peak.to_bits() == other.total_peak.to_bits()
+            && trace_bits(&self.cos1, &other.cos1)
+            && trace_bits(&self.cos2, &other.cos2)
+            && match (&self.memory, &other.memory) {
+                (None, None) => true,
+                (Some(a), Some(b)) => trace_bits(a, b),
+                _ => false,
+            }
+    }
 }
 
 /// Validates that a set of workloads is non-empty, mutually aligned, and
@@ -232,6 +257,25 @@ mod tests {
         let w = Workload::from_translation("app", t);
         assert_eq!(w.name(), "app");
         assert!(w.total_peak() > 0.0);
+    }
+
+    #[test]
+    fn same_bits_tells_apart_what_equality_merges() {
+        let a = wl("a", 1.0, 0.0, 4);
+        assert!(a.same_bits(&a.clone()));
+        assert!(a.same_bits(&wl("a", 1.0, 0.0, 4)));
+        // `-0.0 == 0.0`, so the derived equality cannot key problems.
+        let neg = wl("a", 1.0, -0.0, 4);
+        assert_eq!(a, neg);
+        assert!(!a.same_bits(&neg));
+        // A renamed workload is a different problem.
+        assert!(!a.same_bits(&wl("b", 1.0, 0.0, 4)));
+        assert!(!a.same_bits(&wl("a", 1.0, 0.0, 5)));
+        assert!(!a.same_bits(&wl("a", 1.5, 0.0, 4)));
+        let mem = Trace::constant(cal(), 8.0, 4).unwrap();
+        let with_mem = a.clone().with_memory(mem.clone()).unwrap();
+        assert!(!a.same_bits(&with_mem));
+        assert!(with_mem.same_bits(&wl("a", 1.0, 0.0, 4).with_memory(mem).unwrap()));
     }
 
     #[test]

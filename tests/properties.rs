@@ -8,7 +8,10 @@ use ropus_obs::ObsCtx;
 
 use ropus::case_study::{translate_fleet_threaded, CaseConfig};
 use ropus::prelude::*;
-use ropus_placement::failure::{analyze_multi_failures, MultiFailureAnalysis};
+use ropus_placement::failure::{
+    analyze_multi_failures, single_failure_sweep, MultiFailureAnalysis,
+};
+use ropus_placement::server::Pool;
 use ropus_placement::simulator::{access_probability, AggregateLoad, FitOptions, FitRequest};
 use ropus_placement::workload::Workload;
 use ropus_placement::PlacementError;
@@ -442,5 +445,142 @@ proptest! {
         let agg = ropus_qos::analysis::FleetSavings::aggregate(&[r, r]);
         prop_assert!((agg.total_peak_allocation - 2.0 * r.peak_allocation).abs() < 1e-9);
         prop_assert!(agg.max_cap_reduction >= agg.mean_cap_reduction - 1e-12);
+    }
+}
+
+/// The pre-dedupe failure sweep, kept as the differential oracle: one
+/// serial `consolidate_onto` per combination of `k` failed used servers.
+fn naive_sweep(
+    consolidator: &Consolidator,
+    report: &ropus_placement::consolidate::PlacementReport,
+    normal: &[Workload],
+    failure: &[Workload],
+    scope: FailureScope,
+    k: usize,
+) -> Vec<(
+    Vec<usize>,
+    Vec<usize>,
+    Option<ropus_placement::consolidate::PlacementReport>,
+)> {
+    fn combos(n: usize, k: usize, start: usize, cur: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+        if cur.len() == k {
+            out.push(cur.clone());
+            return;
+        }
+        for i in start..n {
+            cur.push(i);
+            combos(n, k, i + 1, cur, out);
+            cur.pop();
+        }
+    }
+    let mut all = Vec::new();
+    combos(report.servers.len(), k, 0, &mut Vec::new(), &mut all);
+    all.into_iter()
+        .map(|combo| {
+            let failed: Vec<usize> = combo.iter().map(|&i| report.servers[i].server).collect();
+            let affected: Vec<usize> = combo
+                .iter()
+                .flat_map(|&i| report.servers[i].workloads.iter().copied())
+                .collect();
+            let mixed: Vec<Workload> = (0..normal.len())
+                .map(|i| match scope {
+                    FailureScope::AllApplications => failure[i].clone(),
+                    FailureScope::AffectedOnly if affected.contains(&i) => failure[i].clone(),
+                    FailureScope::AffectedOnly => normal[i].clone(),
+                })
+                .collect();
+            let placement = if report.servers_used <= k {
+                None
+            } else {
+                let pool = Pool::homogeneous(consolidator.server(), report.servers_used - k);
+                consolidator
+                    .consolidate_onto(&mixed, pool, ObsCtx::none())
+                    .ok()
+            };
+            (failed, affected, placement)
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Solving each distinct re-consolidation once returns exactly what
+    /// the per-case loop returns (reports compare without engine stats),
+    /// for single and double failures, both scopes, 1 and 4 threads, on
+    /// fleets where a random subset of apps has a changed failure-mode
+    /// workload — and a random subset of the rest an unchanged copy that
+    /// is bit-identical, or differs only in the sign of a zero.
+    #[test]
+    fn deduped_failure_sweep_matches_the_per_case_loop(
+        apps in proptest::collection::vec((2.0f64..9.0, 0u8..4, 0.2f64..0.9), 4..9),
+        seed in 0u64..1000,
+    ) {
+        let week = hourly().slots_per_week();
+        let constant = |level: f64| Trace::constant(hourly(), level, week).unwrap();
+        let normal: Vec<Workload> = apps
+            .iter()
+            .enumerate()
+            .map(|(i, &(level, _, _))| Workload::new(format!("w{i}"), constant(0.0), constant(level)).unwrap())
+            .collect();
+        // Kind 0: a clone; 1: a rebuilt bit-identical copy; 2: a changed
+        // (smaller) workload; 3: CoS1 of -0.0 instead of 0.0.
+        let failure: Vec<Workload> = apps
+            .iter()
+            .enumerate()
+            .map(|(i, &(level, kind, factor))| match kind {
+                0 => normal[i].clone(),
+                1 => Workload::new(format!("w{i}"), constant(0.0), constant(level)).unwrap(),
+                2 => Workload::new(format!("w{i}"), constant(0.0), constant(level * factor)).unwrap(),
+                _ => Workload::new(format!("w{i}"), constant(-0.0), constant(level)).unwrap(),
+            })
+            .collect();
+        let commitments = PoolCommitments::new(CosSpec::new(0.9, 60).unwrap());
+        let consolidator = |threads: usize| {
+            Consolidator::new(
+                ServerSpec::sixteen_way(),
+                commitments,
+                ConsolidationOptions::fast(seed).with_threads(threads),
+            )
+        };
+        let serial = consolidator(1);
+        let report = serial.consolidate(&normal, ObsCtx::none()).unwrap();
+        for scope in [FailureScope::AffectedOnly, FailureScope::AllApplications] {
+            let oracle = naive_sweep(&serial, &report, &normal, &failure, scope, 1);
+            let mut solves = Vec::new();
+            for threads in [1, 4] {
+                let (single, n) =
+                    single_failure_sweep(&consolidator(threads), &report, &normal, &failure, scope)
+                        .unwrap();
+                solves.push(n);
+                prop_assert_eq!(single.cases.len(), oracle.len());
+                for (case, (failed, affected, placement)) in single.cases.iter().zip(&oracle) {
+                    prop_assert_eq!(vec![case.failed_server], failed.clone());
+                    prop_assert_eq!(&case.affected, affected);
+                    prop_assert_eq!(&case.placement, placement);
+                }
+                prop_assert!(n <= single.cases.len());
+                if scope == FailureScope::AllApplications && report.servers_used > 1 {
+                    prop_assert_eq!(n, 1);
+                }
+            }
+            prop_assert_eq!(solves[0], solves[1]);
+
+            if report.servers_used > 2 {
+                let oracle = naive_sweep(&serial, &report, &normal, &failure, scope, 2);
+                for threads in [1, 4] {
+                    let double = analyze_multi_failures(
+                        &consolidator(threads), &report, &normal, &failure, scope, 2,
+                    )
+                    .unwrap();
+                    prop_assert_eq!(double.cases.len(), oracle.len());
+                    for (case, (failed, affected, placement)) in double.cases.iter().zip(&oracle) {
+                        prop_assert_eq!(&case.failed_servers, failed);
+                        prop_assert_eq!(&case.affected, affected);
+                        prop_assert_eq!(&case.placement, placement);
+                    }
+                }
+            }
+        }
     }
 }
