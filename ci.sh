@@ -234,6 +234,24 @@ print(
 )
 PYEOF
 
+echo "==> teleport chaos smoke"
+# The same fleet and outage pair without --migrate: the slot loop's grant
+# rule and deadline backlog, in both failure scopes, carrying or shedding
+# unserved demand, must replay byte-identically across --threads.
+for scope in affected all; do
+    for mode in carry shed; do
+        SHED_FLAG=()
+        [ "$mode" = shed ] && SHED_FLAG=(--shed)
+        for threads in 1 4; do
+            cargo run --release -q -p ropus-cli -- chaos "${MIG_FLAGS[@]}" \
+                --scope "$scope" --threads "$threads" ${SHED_FLAG[@]+"${SHED_FLAG[@]}"} \
+                > "$OBS_TMP/teleport-$scope-$mode-$threads.json"
+        done
+        diff "$OBS_TMP/teleport-$scope-$mode-1.json" "$OBS_TMP/teleport-$scope-$mode-4.json" \
+            || { echo "teleport replay ($scope, $mode) differs across --threads"; exit 1; }
+    done
+done
+
 echo "==> plan sweep smoke"
 # The failure sweep solves each distinct re-consolidation once and shares
 # the report among the cases that pose it: plans must not depend on the

@@ -3,7 +3,7 @@
 //! schedule into a `ChaosReport`.
 //!
 //! Planning is benched separately (`placement.rs`); here the placement
-//! is computed once in setup and only `chaos_replay_on` is measured, at
+//! is computed once in setup and only `chaos_replay_on_with` is measured, at
 //! one and four worker threads, plus the stochastic schedule draw that
 //! feeds it.
 
@@ -60,11 +60,12 @@ fn bench_replay_scripted(c: &mut Criterion) {
             |b, _| {
                 b.iter(|| {
                     black_box(
-                        fw.chaos_replay_on(
+                        fw.chaos_replay_on_with(
                             black_box(&apps),
                             black_box(&placement),
                             black_box(&schedule),
                             DegradationPolicy::default(),
+                            None,
                         )
                         .expect("replay succeeds"),
                     )

@@ -26,7 +26,7 @@ fn main() {
 
     println!("Out-of-sample lifecycle: plan on a 3-week window, replay the next week");
     let report = framework
-        .run_lifecycle(&apps, 3)
+        .run_lifecycle(&apps, 3, MigrationConfig::teleport())
         .expect("4-week fleet supports one epoch");
     println!(
         "{:>6} {:>8} {:>12} {:>22} {:>11}",

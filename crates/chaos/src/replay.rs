@@ -8,6 +8,13 @@
 //! shed immediately or carried over as deferred CoS2 work with a
 //! deadline, per the [`DegradationPolicy`].
 //!
+//! The replay runs in four stages: validate the inputs, fix every
+//! segment's execution plan (`segment_plans`), step the slots, and
+//! assemble the report. The slot loop is a driver of the shared slot
+//! rules: managers replay through [`replay_requests`], each server's
+//! scales come from [`grant_scales`], and carry-over lives in a
+//! [`Backlog`] per application.
+//!
 //! # Determinism
 //!
 //! The replay is a pure function of its inputs. Re-placements go through
@@ -19,22 +26,24 @@
 //! results are bit-identical across `--threads` settings. The slot loop
 //! itself is serial.
 
-use std::collections::VecDeque;
-
 use ropus_obs::{BurnRateRule, ObsCtx, SloEngine};
 use ropus_placement::consolidate::{Consolidator, PlacementReport};
 use ropus_placement::failure::{solve_replacements, FailureScope, Replacement};
-use ropus_placement::migration::{MigrationConfig, MigrationOrchestrator, MigrationPhase};
+use ropus_placement::migration::{
+    MigrationConfig, MigrationOrchestrator, MigrationPhase, Transition,
+};
+use ropus_placement::simulator::Backlog;
 use ropus_placement::workload::Workload;
 use ropus_qos::AppQos;
-use ropus_trace::{Trace, TraceError};
-use ropus_wlm::manager::{WlmPolicy, WorkloadManager};
+use ropus_trace::{Calendar, Trace, TraceError};
+use ropus_wlm::host::grant_scales;
+use ropus_wlm::manager::{replay_requests, WlmPolicy};
 use ropus_wlm::metrics::{audit, slo_contract};
 use ropus_wlm::WlmError;
 
 use crate::error::ChaosError;
 use crate::report::{AppChaosOutcome, ChaosReport, DegradedWindow};
-use crate::schedule::FailureSchedule;
+use crate::schedule::{FailureSchedule, Segment};
 
 /// Amounts below this are treated as fully served/drained.
 const EPSILON: f64 = 1e-9;
@@ -179,7 +188,9 @@ struct SegmentPlan {
 /// Returns [`ChaosError::NoApplications`] for an empty fleet,
 /// [`ChaosError::UnknownServer`] when an event names a server the normal
 /// placement does not use, [`ChaosError::Wlm`] for a degenerate server
-/// capacity, and [`ChaosError::Trace`] for misaligned demand traces.
+/// capacity, and [`ChaosError::Trace`] for demand traces on different
+/// calendars ([`TraceError::CalendarMismatch`]) or of different lengths
+/// ([`TraceError::Misaligned`]).
 pub fn replay(
     consolidator: &Consolidator,
     normal_placement: &PlacementReport,
@@ -188,46 +199,8 @@ pub fn replay(
     options: &ReplayOptions,
     obs: ObsCtx<'_>,
 ) -> Result<ChaosReport, ChaosError> {
-    let n = apps.len();
-    if n == 0 {
-        return Err(ChaosError::NoApplications);
-    }
-    let capacity = consolidator.server().capacity();
-    if !capacity.is_finite() || capacity <= 0.0 {
-        return Err(ChaosError::Wlm(WlmError::InvalidCapacity { capacity }));
-    }
-    let calendar = apps[0].demand.calendar();
-    let horizon = apps[0].demand.len();
-    for app in apps {
-        if app.demand.calendar() != calendar || app.demand.len() != horizon {
-            return Err(ChaosError::Trace(TraceError::Misaligned {
-                left: horizon,
-                right: app.demand.len(),
-            }));
-        }
-    }
-    if normal_placement.assignment.len() != n {
-        return Err(ChaosError::Trace(TraceError::Misaligned {
-            left: n,
-            right: normal_placement.assignment.len(),
-        }));
-    }
-    let pool_ids: Vec<usize> = normal_placement.servers.iter().map(|s| s.server).collect();
-    for e in schedule.events() {
-        if !pool_ids.contains(&e.server) {
-            return Err(ChaosError::UnknownServer {
-                server: e.server,
-                pool: pool_ids.len(),
-            });
-        }
-    }
-    let deadline_slots = match options.degradation.deadline_slots {
-        Some(s) => s,
-        None => calendar.slots_in_minutes(consolidator.commitments().cos2.deadline_minutes()),
-    };
-    let carry_over = options.degradation.carry_over && deadline_slots > 0;
-
-    let segments = schedule.segments(horizon);
+    let setup = validate(consolidator, normal_placement, apps, schedule, options)?;
+    let segments = schedule.segments(setup.horizon);
     let plans = {
         let _span = obs.span("chaos.replay.plan_segments");
         segment_plans(
@@ -242,8 +215,77 @@ pub fn replay(
     let infeasible = plans.iter().filter(|p| p.degraded && !p.feasible).count();
     obs.counter("chaos.replay.infeasible_segments", infeasible as u64);
 
-    // Windows: maximal runs of degraded segments, as inclusive segment
-    // index ranges.
+    let window_ranges = degraded_windows(&segments);
+    let mut slots = SlotLoop::new(&setup, normal_placement, apps, options, &window_ranges);
+    {
+        let _span = obs.span("chaos.replay.slots");
+        for (k, seg) in segments.iter().enumerate() {
+            slots.run_segment(k, seg, &plans, obs);
+        }
+    }
+    slots.into_report(&setup, normal_placement, options, &segments, &plans, obs)
+}
+
+/// Replay-wide constants fixed by validation.
+struct Setup {
+    calendar: Calendar,
+    horizon: usize,
+    /// One past the largest server id of the normal placement.
+    id_cap: usize,
+    capacity: f64,
+    deadline_slots: usize,
+    carry_over: bool,
+}
+
+/// Checks the replay's inputs and derives its constants.
+fn validate(
+    consolidator: &Consolidator,
+    normal_placement: &PlacementReport,
+    apps: &[ChaosApp],
+    schedule: &FailureSchedule,
+    options: &ReplayOptions,
+) -> Result<Setup, ChaosError> {
+    let first = apps.first().ok_or(ChaosError::NoApplications)?;
+    let capacity = consolidator.server().capacity();
+    if !capacity.is_finite() || capacity <= 0.0 {
+        return Err(ChaosError::Wlm(WlmError::InvalidCapacity { capacity }));
+    }
+    for app in apps {
+        first.demand.check_aligned(&app.demand)?;
+    }
+    if normal_placement.assignment.len() != apps.len() {
+        return Err(ChaosError::Trace(TraceError::Misaligned {
+            left: apps.len(),
+            right: normal_placement.assignment.len(),
+        }));
+    }
+    let pool_ids: Vec<usize> = normal_placement.servers.iter().map(|s| s.server).collect();
+    for e in schedule.events() {
+        if !pool_ids.contains(&e.server) {
+            return Err(ChaosError::UnknownServer {
+                server: e.server,
+                pool: pool_ids.len(),
+            });
+        }
+    }
+    let calendar = first.demand.calendar();
+    let deadline_slots = match options.degradation.deadline_slots {
+        Some(s) => s,
+        None => calendar.slots_in_minutes(consolidator.commitments().cos2.deadline_minutes()),
+    };
+    Ok(Setup {
+        calendar,
+        horizon: first.demand.len(),
+        id_cap: pool_ids.iter().max().map_or(0, |m| m + 1),
+        capacity,
+        deadline_slots,
+        carry_over: options.degradation.carry_over && deadline_slots > 0,
+    })
+}
+
+/// Windows: maximal runs of degraded segments, as inclusive segment index
+/// ranges.
+fn degraded_windows(segments: &[Segment]) -> Vec<(usize, usize)> {
     let mut window_ranges: Vec<(usize, usize)> = Vec::new();
     for (k, seg) in segments.iter().enumerate() {
         if seg.is_degraded() {
@@ -253,497 +295,525 @@ pub fn replay(
             }
         }
     }
-    let window_of = |k: usize| -> Option<usize> {
-        window_ranges
+    window_ranges
+}
+
+/// Which application runs where, as the slot loop sees it.
+struct Views {
+    /// App → the server serving it (`None` = nowhere to run).
+    serving: Vec<Option<usize>>,
+    /// Server id → the apps it serves, ascending.
+    hosted: Vec<Vec<usize>>,
+    /// Server id → the migrating apps whose demand it double-books.
+    reserved: Vec<Vec<usize>>,
+}
+
+impl Views {
+    /// Rebuilds every view from an authoritative serving assignment and
+    /// its `(app, server)` reservations.
+    fn rebuild(&mut self, serving: &[Option<usize>], reservations: &[(usize, usize)]) {
+        self.serving.clear();
+        self.serving.extend_from_slice(serving);
+        for list in self.hosted.iter_mut() {
+            list.clear();
+        }
+        for (i, &s) in serving.iter().enumerate() {
+            if let Some(list) = s.and_then(|s| self.hosted.get_mut(s)) {
+                list.push(i);
+            }
+        }
+        for list in self.reserved.iter_mut() {
+            list.clear();
+        }
+        for &(app, server) in reservations {
+            if let Some(list) = self.reserved.get_mut(server) {
+                list.push(app);
+            }
+        }
+    }
+}
+
+/// One application's running state in the slot loop.
+#[derive(Debug, Clone, Default)]
+struct AppRun {
+    /// CoS1 and CoS2 request columns of the current segment.
+    cos1: Vec<f64>,
+    cos2: Vec<f64>,
+    backlog: Backlog,
+    /// Backlog outstanding at the start of the slot, requested as CoS2.
+    extra: f64,
+    /// This slot's grant for current demand and for the backlog.
+    grant_base: f64,
+    grant_extra: f64,
+    /// Upper bound of the utilization band the active contract allows.
+    band_high: f64,
+    util_normal: Vec<f64>,
+    util_degraded: Vec<f64>,
+    demand_total: f64,
+    served_on_time: f64,
+    served_late: f64,
+    shed: f64,
+    migrations: usize,
+}
+
+/// The serial slot loop: per-app request columns, the shared grant rule
+/// per server, and the carry-over backlog per app.
+struct SlotLoop<'a> {
+    apps: &'a [ChaosApp],
+    runs: Vec<AppRun>,
+    capacity: f64,
+    carry_over: bool,
+    deadline_slots: usize,
+    window_ranges: &'a [(usize, usize)],
+    window_migrations: Vec<usize>,
+    window_shed: Vec<f64>,
+    migrations_total: usize,
+    contended_slots: usize,
+    /// Fleet-wide outstanding backlog after every slot.
+    backlog_series: Vec<f64>,
+    /// The previous segment's assignment (teleport move counting).
+    prev_assignment: Vec<Option<usize>>,
+    /// The migration machine, when enabled: its serving assignment
+    /// replaces the segment plan's instantaneous one, moving only as it
+    /// commits cutovers.
+    orch: Option<MigrationOrchestrator>,
+    views: Views,
+    slo: SloEngine,
+    /// Per-server contention and per-app health verdicts of the slot,
+    /// fed to the migration machine.
+    contended_flags: Vec<bool>,
+    healthy: Vec<bool>,
+}
+
+impl<'a> SlotLoop<'a> {
+    fn new(
+        setup: &Setup,
+        normal_placement: &PlacementReport,
+        apps: &'a [ChaosApp],
+        options: &ReplayOptions,
+        window_ranges: &'a [(usize, usize)],
+    ) -> Self {
+        let home: Vec<Option<usize>> = normal_placement
+            .assignment
             .iter()
-            .position(|&(lo, hi)| lo <= k && k <= hi)
-    };
-
-    let id_cap = pool_ids.iter().max().map_or(0, |m| m + 1);
-    let samples: Vec<&[f64]> = apps.iter().map(|a| a.demand.samples()).collect();
-
-    // Per-app running state.
-    let mut backlog: Vec<VecDeque<(usize, f64)>> = vec![VecDeque::new(); n];
-    let mut util_normal: Vec<Vec<f64>> = vec![Vec::new(); n];
-    let mut util_degraded: Vec<Vec<f64>> = vec![Vec::new(); n];
-    let mut demand_total = vec![0.0f64; n];
-    let mut served_on_time = vec![0.0f64; n];
-    let mut served_late = vec![0.0f64; n];
-    let mut shed = vec![0.0f64; n];
-    let mut migrations_per_app = vec![0usize; n];
-    // Fleet-wide series and counters.
-    let mut backlog_series: Vec<f64> = Vec::with_capacity(horizon);
-    let mut window_migrations = vec![0usize; window_ranges.len()];
-    let mut window_shed = vec![0.0f64; window_ranges.len()];
-    let mut contended_slots = 0usize;
-    let mut migrations_total = 0usize;
-    let mut prev_assignment: Vec<Option<usize>> = normal_placement
-        .assignment
-        .iter()
-        .map(|&s| Some(s))
-        .collect();
-
-    // Migration machine (when enabled): the authoritative serving
-    // assignment `eff` replaces the segment plan's instantaneous one,
-    // moving only as the orchestrator commits cutovers.
-    let mut orch = options
-        .migration
-        .map(|config| MigrationOrchestrator::new(config, prev_assignment.clone()));
-    let mut eff: Vec<Option<usize>> = prev_assignment.clone();
-    let mut hosted: Vec<Vec<usize>> = vec![Vec::new(); id_cap];
-    let mut reserved: Vec<Vec<usize>> = vec![Vec::new(); id_cap];
-    let mut contended_flags = vec![false; id_cap];
-    let mut healthy = vec![true; n];
-    let mut band_high = vec![0.0f64; n];
-
-    // Streaming SLO attainment against the *normal* contract for the
-    // whole replay: planned degradation during an outage still spends
-    // the app's error budget, which is exactly what the burn-rate
-    // alerts should surface.
-    let mut slo = SloEngine::new(BurnRateRule::default_rules());
-    for app in apps {
-        slo.register(slo_contract(
-            app.name.clone(),
-            &app.normal_qos,
-            calendar.slot_minutes(),
-        ));
+            .map(|&s| Some(s))
+            .collect();
+        // Streaming SLO attainment against the *normal* contract for the
+        // whole replay: planned degradation during an outage still spends
+        // the app's error budget, which is exactly what the burn-rate
+        // alerts should surface.
+        let mut slo = SloEngine::new(BurnRateRule::default_rules());
+        for app in apps {
+            slo.register(slo_contract(
+                app.name.clone(),
+                &app.normal_qos,
+                setup.calendar.slot_minutes(),
+            ));
+        }
+        SlotLoop {
+            apps,
+            runs: vec![AppRun::default(); apps.len()],
+            capacity: setup.capacity,
+            carry_over: setup.carry_over,
+            deadline_slots: setup.deadline_slots,
+            window_ranges,
+            window_migrations: vec![0; window_ranges.len()],
+            window_shed: vec![0.0; window_ranges.len()],
+            migrations_total: 0,
+            contended_slots: 0,
+            backlog_series: Vec::with_capacity(setup.horizon),
+            orch: options
+                .migration
+                .map(|config| MigrationOrchestrator::new(config, home.clone())),
+            views: Views {
+                serving: home.clone(),
+                hosted: vec![Vec::new(); setup.id_cap],
+                reserved: vec![Vec::new(); setup.id_cap],
+            },
+            prev_assignment: home,
+            slo,
+            contended_flags: vec![false; setup.id_cap],
+            healthy: vec![true; apps.len()],
+        }
     }
 
-    // Scratch buffers reused across slots.
-    let mut demand = vec![0.0f64; n];
-    let mut requests = vec![(0.0f64, 0.0f64); n];
-    let mut extra = vec![0.0f64; n];
-    let mut grant_base = vec![0.0f64; n];
-    let mut grant_extra = vec![0.0f64; n];
-    // Per-app request columns for the current segment, replayed
-    // workload-major before the slot loop (managers restart at segment
-    // boundaries and only ever see their own demand, so running each
-    // column to completion is bit-identical to the old interleaved
-    // per-slot observe).
-    let mut req_cos1: Vec<Vec<f64>> = vec![Vec::new(); n];
-    let mut req_cos2: Vec<Vec<f64>> = vec![Vec::new(); n];
+    /// The window segment `k` belongs to.
+    fn window_of(&self, k: usize) -> Option<usize> {
+        self.window_ranges
+            .iter()
+            .position(|&(lo, hi)| lo <= k && k <= hi)
+    }
 
-    let slots_span = obs.span("chaos.replay.slots");
-    for (k, seg) in segments.iter().enumerate() {
+    /// Books committed transitions into the per-app / fleet / per-window
+    /// migration tallies — the machine-driven twin of the teleport path's
+    /// boundary counting.
+    fn count_commits(&mut self, transitions: &[Transition]) {
+        for t in transitions {
+            if t.phase != MigrationPhase::Committed {
+                continue;
+            }
+            if let Some(run) = self.runs.get_mut(t.app) {
+                run.migrations += 1;
+            }
+            self.migrations_total += 1;
+            if let Some(count) = t.window.and_then(|w| self.window_migrations.get_mut(w)) {
+                *count += 1;
+            }
+        }
+    }
+
+    /// Enters segment `k` and steps its slots.
+    fn run_segment(&mut self, k: usize, seg: &Segment, plans: &[SegmentPlan], obs: ObsCtx<'_>) {
         let plan = &plans[k];
         // Attribute boundary moves to the window they enter, or — for
         // the moves back home at repair — to the window that just ended.
         let attributed = if plan.degraded {
-            window_of(k)
+            self.window_of(k)
         } else if k > 0 && plans[k - 1].degraded {
-            window_of(k - 1)
+            self.window_of(k - 1)
         } else {
             None
         };
-        match orch.as_mut() {
+        match self.orch.as_mut() {
             None => {
                 // Teleport: an app moved if it now runs on a different
                 // server (losing its server entirely is displacement,
                 // not a migration).
                 let mut moved = 0usize;
-                for i in 0..n {
-                    if plan.assignment[i] != prev_assignment[i] && plan.assignment[i].is_some() {
-                        migrations_per_app[i] += 1;
+                for ((now, before), run) in plan
+                    .assignment
+                    .iter()
+                    .zip(&self.prev_assignment)
+                    .zip(&mut self.runs)
+                {
+                    if now != before && now.is_some() {
+                        run.migrations += 1;
                         moved += 1;
                     }
                 }
-                prev_assignment.clone_from(&plan.assignment);
-                migrations_total += moved;
+                self.prev_assignment.clone_from(&plan.assignment);
+                self.migrations_total += moved;
                 if let Some(w) = attributed {
-                    window_migrations[w] += moved;
+                    self.window_migrations[w] += moved;
                 }
+                // The plan's assignment takes effect instantly.
+                self.views.rebuild(&plan.assignment, &[]);
             }
             Some(orch) => {
                 // The new plan becomes the machine's target; moves count
                 // only when they commit (inside the slot loop below).
                 orch.retarget(&plan.assignment, &seg.failed, seg.start, attributed, obs);
-                for (i, app) in apps.iter().enumerate() {
-                    band_high[i] = if plan.use_failure[i] {
-                        app.failure_qos.band().high()
-                    } else {
-                        app.normal_qos.band().high()
-                    };
-                }
             }
         }
 
         // Managers restart at the segment boundary under the active
         // policy; with smoothing 1.0 the estimate equals current demand,
-        // so the reset is seamless. Each manager replays its whole
-        // segment column up front, so the slot loop reads precomputed
-        // request columns instead of stepping n managers per slot.
-        for (i, series) in samples.iter().enumerate() {
-            let mut manager = WorkloadManager::new(if plan.use_failure[i] {
-                apps[i].failure_policy
+        // so the reset is seamless. The replay overwrites every entry of
+        // the resized columns.
+        for ((app, run), &relaxed) in self.apps.iter().zip(&mut self.runs).zip(&plan.use_failure) {
+            let (policy, qos) = if relaxed {
+                (app.failure_policy, &app.failure_qos)
             } else {
-                apps[i].normal_policy
-            });
-            req_cos1[i].clear();
-            req_cos2[i].clear();
-            for &d in &series[seg.start..seg.end] {
-                let request = manager.observe(d);
-                req_cos1[i].push(request.cos1);
-                req_cos2[i].push(request.cos2);
-            }
-        }
-        if orch.is_none() {
-            // Teleport: the plan's assignment takes effect instantly.
-            eff.clone_from(&plan.assignment);
-            for list in hosted.iter_mut() {
-                list.clear();
-            }
-            for i in 0..n {
-                if let Some(s) = plan.assignment[i] {
-                    hosted[s].push(i);
-                }
-            }
+                (app.normal_policy, &app.normal_qos)
+            };
+            run.band_high = qos.band().high();
+            run.cos1.resize(seg.end - seg.start, 0.0);
+            run.cos2.resize(seg.end - seg.start, 0.0);
+            replay_requests(
+                policy,
+                &app.demand.samples()[seg.start..seg.end],
+                &mut run.cos1,
+                &mut run.cos2,
+            );
         }
 
         for slot in seg.start..seg.end {
-            // Migration machine, slot start: begin eligible moves under
-            // the storm caps, then refresh the serving/reservation views
-            // if anything changed (including the segment's retarget).
-            if let Some(orch) = orch.as_mut() {
-                let transitions = orch.begin_slot(slot, obs);
-                count_commits(
-                    &transitions,
-                    &mut migrations_per_app,
-                    &mut migrations_total,
-                    &mut window_migrations,
-                );
-                if orch.take_dirty() {
-                    rebuild_views(
-                        orch.serving(),
-                        &orch.reservations(),
-                        &mut eff,
-                        &mut hosted,
-                        &mut reserved,
-                    );
-                }
+            self.step(slot, slot - seg.start, k, plan, obs);
+        }
+    }
+
+    /// One slot: migration progress, grants, then serving.
+    fn step(&mut self, slot: usize, off: usize, k: usize, plan: &SegmentPlan, obs: ObsCtx<'_>) {
+        // Migration machine, slot start: begin eligible moves under the
+        // storm caps, then refresh the serving/reservation views if
+        // anything changed (including the segment's retarget).
+        if let Some(orch) = self.orch.as_mut() {
+            let transitions = orch.begin_slot(slot, obs);
+            if orch.take_dirty() {
+                self.views.rebuild(orch.serving(), &orch.reservations());
             }
-            // Pass 1: read each app's precomputed request for this slot;
-            // outstanding backlog rides along as extra CoS2.
-            let off = slot - seg.start;
-            for (i, series) in samples.iter().enumerate() {
-                demand[i] = series[slot];
-                requests[i] = (req_cos1[i][off], req_cos2[i][off]);
-                extra[i] = backlog[i].iter().map(|e| e.1).sum();
-            }
-            // Pass 2: each server grants CoS1 first (scaled down
-            // proportionally on overflow), then CoS2 shares the
-            // remainder proportionally. Migrating apps' reserved demand
-            // presses on the destination's scales (capacity
-            // double-booked mid-move) without drawing grants there.
-            let mut contended = false;
-            contended_flags.fill(false);
-            for (s, ids) in hosted.iter().enumerate() {
-                // lint:allow(panic-slice-index): reserved has id_cap
-                // entries, like hosted.
-                let resv = &reserved[s];
-                if ids.is_empty() && resv.is_empty() {
-                    continue;
-                }
-                let mut cos1_sum: f64 = ids.iter().map(|&i| requests[i].0).sum();
-                let mut cos2_sum: f64 = ids.iter().map(|&i| requests[i].1 + extra[i]).sum();
-                if !resv.is_empty() {
-                    cos1_sum += resv.iter().map(|&i| requests[i].0).sum::<f64>();
-                    cos2_sum += resv.iter().map(|&i| requests[i].1).sum::<f64>();
-                }
-                let cos1_scale = if cos1_sum > capacity {
-                    capacity / cos1_sum
-                } else {
-                    1.0
-                };
-                let remaining = (capacity - cos1_sum * cos1_scale).max(0.0);
-                let cos2_scale = if cos2_sum > remaining && cos2_sum > 0.0 {
-                    remaining / cos2_sum
-                } else {
-                    1.0
-                };
-                if cos1_scale < 1.0 || cos2_scale < 1.0 {
-                    contended = true;
-                    contended_flags[s] = true;
-                }
-                for &i in ids {
-                    grant_base[i] = requests[i].0 * cos1_scale + requests[i].1 * cos2_scale;
-                    grant_extra[i] = extra[i] * cos2_scale;
-                }
-            }
-            if contended {
-                contended_slots += 1;
-                obs.counter("chaos.replay.contended_slots", 1);
-            }
-            // Pass 3: serve current demand first, drain backlog FIFO with
-            // whatever grant is left, then defer or shed the shortfall.
-            let mut slot_backlog = 0.0f64;
-            let mut slot_shed = 0.0f64;
-            let mut slot_carried = false;
-            for i in 0..n {
-                let recovering = !backlog[i].is_empty();
-                let (g_base, g_extra) = if eff[i].is_some() {
-                    (grant_base[i], grant_extra[i])
-                } else {
-                    (0.0, 0.0)
-                };
-                let g_total = g_base + g_extra;
-                let d = demand[i];
-                let serve_now = d.min(g_total);
-                let mut leftover = (g_total - serve_now).max(0.0);
-                let mut late = 0.0f64;
-                while leftover > EPSILON {
-                    let Some(front) = backlog[i].front_mut() else {
-                        break;
-                    };
-                    let take = front.1.min(leftover);
-                    front.1 -= take;
-                    late += take;
-                    leftover -= take;
-                    if front.1 <= EPSILON {
-                        backlog[i].pop_front();
-                    }
-                }
-                demand_total[i] += d;
-                served_on_time[i] += serve_now;
-                served_late[i] += late;
-                let shortfall = d - serve_now;
-                if shortfall > EPSILON {
-                    if carry_over {
-                        backlog[i].push_back((slot, shortfall));
-                        slot_carried = true;
-                    } else {
-                        shed[i] += shortfall;
-                        slot_shed += shortfall;
-                    }
-                }
-                // Expire deferred work past its deadline. Entries are in
-                // arrival order, so the front is always the oldest.
-                while let Some(&(arrival, amount)) = backlog[i].front() {
-                    if slot >= arrival + deadline_slots {
-                        shed[i] += amount;
-                        slot_shed += amount;
-                        backlog[i].pop_front();
-                    } else {
-                        break;
-                    }
-                }
-                slot_backlog += backlog[i].iter().map(|e| e.1).sum::<f64>();
-                // Utilization of (own) allocation for current demand —
-                // backlog drain uses headroom and is not charged against
-                // the band.
-                let u = if g_base > EPSILON {
-                    serve_now.min(g_base) / g_base
-                } else {
-                    0.0
-                };
-                if plan.degraded || recovering {
-                    util_degraded[i].push(u);
-                } else {
-                    util_normal[i].push(u);
-                }
-                slo.observe(i, slot, u, obs);
-                // Health verdict for the migration machine: the slot is
-                // healthy when current demand was fully served within
-                // the app's utilization band.
-                if orch.is_some() {
-                    healthy[i] = shortfall <= EPSILON && u <= band_high[i] + EPSILON;
-                }
-            }
-            // Migration machine, slot end: apply drain/health progress.
-            if let Some(orch) = orch.as_mut() {
-                let transitions = orch.complete_slot(slot, &contended_flags, &healthy, obs);
-                count_commits(
-                    &transitions,
-                    &mut migrations_per_app,
-                    &mut migrations_total,
-                    &mut window_migrations,
-                );
-            }
-            backlog_series.push(slot_backlog);
-            if slot_shed > EPSILON {
-                obs.counter("chaos.replay.shed_slots", 1);
-            }
-            if slot_carried {
-                obs.counter("chaos.replay.carried_slots", 1);
-            }
-            if plan.degraded {
-                if let Some(w) = window_of(k) {
-                    window_shed[w] += slot_shed;
-                }
+            self.count_commits(&transitions);
+        }
+        if self.grant(off) {
+            self.contended_slots += 1;
+            obs.counter("chaos.replay.contended_slots", 1);
+        }
+        let (slot_shed, slot_carried) = self.serve(slot, plan, obs);
+        // Migration machine, slot end: apply drain/health progress.
+        if let Some(orch) = self.orch.as_mut() {
+            let transitions = orch.complete_slot(slot, &self.contended_flags, &self.healthy, obs);
+            self.count_commits(&transitions);
+        }
+        if slot_shed > EPSILON {
+            obs.counter("chaos.replay.shed_slots", 1);
+        }
+        if slot_carried {
+            obs.counter("chaos.replay.carried_slots", 1);
+        }
+        if plan.degraded {
+            if let Some(w) = self.window_of(k) {
+                self.window_shed[w] += slot_shed;
             }
         }
     }
-    drop(slots_span);
 
-    // Assemble per-window metrics.
-    let mut windows = Vec::with_capacity(window_ranges.len());
-    for (w, &(lo, hi)) in window_ranges.iter().enumerate() {
-        let start = segments[lo].start;
-        let end = segments[hi].end;
-        let mut failed: Vec<usize> = Vec::new();
-        let mut displaced: Vec<usize> = Vec::new();
-        let mut feasible = true;
-        for k in lo..=hi {
-            failed.extend_from_slice(&segments[k].failed);
-            displaced.extend_from_slice(&plans[k].affected);
-            feasible &= plans[k].feasible;
+    /// Each server grants by [`grant_scales`]; outstanding backlog rides
+    /// along as extra CoS2, and migrating apps' reserved demand presses
+    /// on the destination's scales (capacity double-booked mid-move)
+    /// without drawing grants there. Returns whether any server was
+    /// contended.
+    fn grant(&mut self, off: usize) -> bool {
+        for run in &mut self.runs {
+            run.extra = run.backlog.outstanding();
         }
-        failed.sort_unstable();
-        failed.dedup();
-        displaced.sort_unstable();
-        displaced.dedup();
-        let mut recovery_slots = None;
-        for (t, &outstanding) in backlog_series.iter().enumerate().skip(end - 1) {
-            if outstanding <= EPSILON {
-                recovery_slots = Some((t + 1).saturating_sub(end));
-                break;
-            }
-        }
-        let mut recovery_event = obs
-            .event("chaos.window.recovery")
-            .with_u64("start", start as u64)
-            .with_u64("end", end as u64)
-            .with_str("feasible", if feasible { "true" } else { "false" })
-            .with_u64("displaced", displaced.len() as u64)
-            .with_u64("migrations", window_migrations[w] as u64)
-            .with_f64("shed", window_shed[w]);
-        if let Some(r) = recovery_slots {
-            recovery_event = recovery_event.with_u64("recovery_slots", r as u64);
-        }
-        recovery_event.emit();
-        windows.push(DegradedWindow {
-            start,
-            end,
-            failed,
-            feasible,
-            displaced: displaced.len(),
-            migrations: window_migrations[w],
-            shed: window_shed[w],
-            recovery_slots,
-        });
-    }
-
-    // Assemble per-app outcomes.
-    let mut out_apps = Vec::with_capacity(n);
-    for (i, app) in apps.iter().enumerate() {
-        let normal_audit = if util_normal[i].is_empty() {
-            None
-        } else {
-            let trace = Trace::from_samples(calendar, std::mem::take(&mut util_normal[i]))?;
-            Some(audit(&trace, &app.normal_qos))
-        };
-        let degraded_audit = if util_degraded[i].is_empty() {
-            None
-        } else {
-            let trace = Trace::from_samples(calendar, std::mem::take(&mut util_degraded[i]))?;
-            Some(audit(&trace, &app.failure_qos))
-        };
-        let backlog_remaining: f64 = backlog[i].iter().map(|e| e.1).sum();
-        let served = served_on_time[i] + served_late[i];
-        let unserved_fraction = if demand_total[i] > 0.0 {
-            ((demand_total[i] - served) / demand_total[i]).max(0.0)
-        } else {
-            0.0
-        };
-        out_apps.push(AppChaosOutcome {
-            name: app.name.clone(),
-            home_server: normal_placement.assignment[i],
-            demand_total: demand_total[i],
-            served_on_time: served_on_time[i],
-            served_late: served_late[i],
-            shed: shed[i],
-            backlog_remaining,
-            unserved_fraction,
-            migrations: migrations_per_app[i],
-            normal_audit,
-            degraded_audit,
-        });
-    }
-
-    // Per-move timelines and recovery metrics when the machine ran.
-    let migration = orch.map(|o| {
-        let names: Vec<&str> = apps.iter().map(|a| a.name.as_str()).collect();
-        o.report(&names)
-    });
-
-    slo.record_counters(obs);
-    let slo = Some(slo.summary());
-
-    Ok(ChaosReport {
-        slots: horizon,
-        slot_minutes: calendar.slot_minutes(),
-        scope: options.scope,
-        carry_over,
-        deadline_slots,
-        degraded_slots: segments
+        let runs = &mut self.runs;
+        let mut contended = false;
+        self.contended_flags.fill(false);
+        for ((ids, resv), flag) in self
+            .views
+            .hosted
             .iter()
-            .filter(|s| s.is_degraded())
-            .map(|s| s.end - s.start)
-            .sum(),
-        contended_slots,
-        migrations_total,
-        demand_total: demand_total.iter().sum(),
-        served_total: served_on_time.iter().sum::<f64>() + served_late.iter().sum::<f64>(),
-        served_late_total: served_late.iter().sum(),
-        shed_total: shed.iter().sum(),
-        apps: out_apps,
-        windows,
-        migration,
-        slo,
-        obs: None,
-    })
-}
-
-/// Books committed transitions into the per-app / fleet / per-window
-/// migration tallies — the machine-driven twin of the teleport path's
-/// boundary counting.
-fn count_commits(
-    transitions: &[ropus_placement::migration::Transition],
-    migrations_per_app: &mut [usize],
-    migrations_total: &mut usize,
-    window_migrations: &mut [usize],
-) {
-    for t in transitions {
-        if t.phase != MigrationPhase::Committed {
-            continue;
-        }
-        if let Some(per_app) = migrations_per_app.get_mut(t.app) {
-            *per_app += 1;
-        }
-        *migrations_total += 1;
-        if let Some(w) = t.window {
-            if let Some(count) = window_migrations.get_mut(w) {
-                *count += 1;
+            .zip(&self.views.reserved)
+            .zip(&mut self.contended_flags)
+        {
+            if ids.is_empty() && resv.is_empty() {
+                continue;
+            }
+            let mut cos1_sum: f64 = ids.iter().map(|&i| runs[i].cos1[off]).sum();
+            let mut cos2_sum: f64 = ids.iter().map(|&i| runs[i].cos2[off] + runs[i].extra).sum();
+            if !resv.is_empty() {
+                cos1_sum += resv.iter().map(|&i| runs[i].cos1[off]).sum::<f64>();
+                cos2_sum += resv.iter().map(|&i| runs[i].cos2[off]).sum::<f64>();
+            }
+            let (cos1_scale, cos2_scale) = grant_scales(self.capacity, cos1_sum, cos2_sum);
+            if cos1_scale < 1.0 || cos2_scale < 1.0 {
+                contended = true;
+                *flag = true;
+            }
+            for &i in ids {
+                let run = &mut runs[i];
+                run.grant_base = run.cos1[off] * cos1_scale + run.cos2[off] * cos2_scale;
+                run.grant_extra = run.extra * cos2_scale;
             }
         }
+        contended
+    }
+
+    /// Serves current demand first, drains backlog FIFO with whatever
+    /// grant is left, then defers or sheds the shortfall. Returns the
+    /// slot's shed amount and whether anything was carried.
+    fn serve(&mut self, slot: usize, plan: &SegmentPlan, obs: ObsCtx<'_>) -> (f64, bool) {
+        let mut slot_backlog = 0.0f64;
+        let mut slot_shed = 0.0f64;
+        let mut slot_carried = false;
+        for (i, (app, run)) in self.apps.iter().zip(&mut self.runs).enumerate() {
+            let recovering = !run.backlog.is_empty();
+            let (g_base, g_extra) = if self.views.serving[i].is_some() {
+                (run.grant_base, run.grant_extra)
+            } else {
+                (0.0, 0.0)
+            };
+            let g_total = g_base + g_extra;
+            let d = app.demand.samples()[slot];
+            let serve_now = d.min(g_total);
+            let late = run.backlog.drain((g_total - serve_now).max(0.0));
+            run.demand_total += d;
+            run.served_on_time += serve_now;
+            run.served_late += late;
+            let shortfall = d - serve_now;
+            if shortfall > EPSILON {
+                if self.carry_over {
+                    run.backlog.push(slot, shortfall);
+                    slot_carried = true;
+                } else {
+                    run.shed += shortfall;
+                    slot_shed += shortfall;
+                }
+            }
+            // Expire deferred work past its deadline.
+            while let Some(amount) = run.backlog.expire(slot, self.deadline_slots) {
+                run.shed += amount;
+                slot_shed += amount;
+            }
+            slot_backlog += run.backlog.outstanding();
+            // Utilization of (own) allocation for current demand —
+            // backlog drain uses headroom and is not charged against
+            // the band.
+            let u = if g_base > EPSILON {
+                serve_now.min(g_base) / g_base
+            } else {
+                0.0
+            };
+            if plan.degraded || recovering {
+                run.util_degraded.push(u);
+            } else {
+                run.util_normal.push(u);
+            }
+            self.slo.observe(i, slot, u, obs);
+            // Health verdict for the migration machine: the slot is
+            // healthy when current demand was fully served within the
+            // app's utilization band.
+            self.healthy[i] = shortfall <= EPSILON && u <= run.band_high + EPSILON;
+        }
+        self.backlog_series.push(slot_backlog);
+        (slot_shed, slot_carried)
+    }
+
+    /// Assembles the report: per-window recovery metrics (emitting
+    /// `chaos.window.recovery`), per-app outcomes and audits, the
+    /// migration machine's report, and the SLO summary.
+    fn into_report(
+        mut self,
+        setup: &Setup,
+        normal_placement: &PlacementReport,
+        options: &ReplayOptions,
+        segments: &[Segment],
+        plans: &[SegmentPlan],
+        obs: ObsCtx<'_>,
+    ) -> Result<ChaosReport, ChaosError> {
+        let mut windows = Vec::with_capacity(self.window_ranges.len());
+        for (w, &(lo, hi)) in self.window_ranges.iter().enumerate() {
+            let window = degraded_window(
+                &segments[lo..=hi],
+                &plans[lo..=hi],
+                &self.backlog_series,
+                self.window_migrations[w],
+                self.window_shed[w],
+            );
+            let mut recovery_event = obs
+                .event("chaos.window.recovery")
+                .with_u64("start", window.start as u64)
+                .with_u64("end", window.end as u64)
+                .with_str("feasible", if window.feasible { "true" } else { "false" })
+                .with_u64("displaced", window.displaced as u64)
+                .with_u64("migrations", window.migrations as u64)
+                .with_f64("shed", window.shed);
+            if let Some(r) = window.recovery_slots {
+                recovery_event = recovery_event.with_u64("recovery_slots", r as u64);
+            }
+            recovery_event.emit();
+            windows.push(window);
+        }
+
+        let calendar = setup.calendar;
+        let audited = |util: Vec<f64>, qos: &AppQos| -> Result<_, ChaosError> {
+            if util.is_empty() {
+                return Ok(None);
+            }
+            Ok(Some(audit(&Trace::from_samples(calendar, util)?, qos)))
+        };
+        let mut out_apps = Vec::with_capacity(self.runs.len());
+        for ((app, run), &home_server) in self
+            .apps
+            .iter()
+            .zip(&mut self.runs)
+            .zip(&normal_placement.assignment)
+        {
+            let served = run.served_on_time + run.served_late;
+            let unserved_fraction = if run.demand_total > 0.0 {
+                ((run.demand_total - served) / run.demand_total).max(0.0)
+            } else {
+                0.0
+            };
+            out_apps.push(AppChaosOutcome {
+                name: app.name.clone(),
+                home_server,
+                demand_total: run.demand_total,
+                served_on_time: run.served_on_time,
+                served_late: run.served_late,
+                shed: run.shed,
+                backlog_remaining: run.backlog.outstanding(),
+                unserved_fraction,
+                migrations: run.migrations,
+                normal_audit: audited(std::mem::take(&mut run.util_normal), &app.normal_qos)?,
+                degraded_audit: audited(std::mem::take(&mut run.util_degraded), &app.failure_qos)?,
+            });
+        }
+
+        // Per-move timelines and recovery metrics when the machine ran.
+        let migration = self.orch.map(|o| {
+            let names: Vec<&str> = self.apps.iter().map(|a| a.name.as_str()).collect();
+            o.report(&names)
+        });
+
+        self.slo.record_counters(obs);
+        let runs = &self.runs;
+        let total = |field: fn(&AppRun) -> f64| runs.iter().map(field).sum::<f64>();
+        Ok(ChaosReport {
+            slots: setup.horizon,
+            slot_minutes: calendar.slot_minutes(),
+            scope: options.scope,
+            carry_over: setup.carry_over,
+            deadline_slots: setup.deadline_slots,
+            degraded_slots: segments
+                .iter()
+                .filter(|s| s.is_degraded())
+                .map(|s| s.end - s.start)
+                .sum(),
+            contended_slots: self.contended_slots,
+            migrations_total: self.migrations_total,
+            demand_total: total(|r| r.demand_total),
+            served_total: total(|r| r.served_on_time) + total(|r| r.served_late),
+            served_late_total: total(|r| r.served_late),
+            shed_total: total(|r| r.shed),
+            apps: out_apps,
+            windows,
+            migration,
+            slo: Some(self.slo.summary()),
+            obs: None,
+        })
     }
 }
 
-/// Rebuilds the slot loop's serving and reservation views from the
-/// migration machine's authoritative state.
-fn rebuild_views(
-    serving: &[Option<usize>],
-    reservations: &[(usize, usize)],
-    eff: &mut Vec<Option<usize>>,
-    hosted: &mut [Vec<usize>],
-    reserved: &mut [Vec<usize>],
-) {
-    eff.clear();
-    eff.extend_from_slice(serving);
-    for list in hosted.iter_mut() {
-        list.clear();
+/// One degraded window's metrics from its segments and plans: the union
+/// of failed servers and displaced apps, joint feasibility, and the
+/// slots after the window until the fleet's backlog first drains.
+fn degraded_window(
+    segments: &[Segment],
+    plans: &[SegmentPlan],
+    backlog_series: &[f64],
+    migrations: usize,
+    shed: f64,
+) -> DegradedWindow {
+    let start = segments.first().map_or(0, |s| s.start);
+    let end = segments.last().map_or(start, |s| s.end);
+    let mut failed: Vec<usize> = Vec::new();
+    let mut displaced: Vec<usize> = Vec::new();
+    let mut feasible = true;
+    for (seg, plan) in segments.iter().zip(plans) {
+        failed.extend_from_slice(&seg.failed);
+        displaced.extend_from_slice(&plan.affected);
+        feasible &= plan.feasible;
     }
-    for (i, &s) in serving.iter().enumerate() {
-        if let Some(list) = s.and_then(|s| hosted.get_mut(s)) {
-            list.push(i);
-        }
-    }
-    for list in reserved.iter_mut() {
-        list.clear();
-    }
-    for &(app, server) in reservations {
-        if let Some(list) = reserved.get_mut(server) {
-            list.push(app);
-        }
+    failed.sort_unstable();
+    failed.dedup();
+    displaced.sort_unstable();
+    displaced.dedup();
+    let recovery_slots = backlog_series
+        .iter()
+        .enumerate()
+        .skip(end - 1)
+        .find(|&(_, &outstanding)| outstanding <= EPSILON)
+        .map(|(t, _)| (t + 1).saturating_sub(end));
+    DegradedWindow {
+        start,
+        end,
+        failed,
+        feasible,
+        displaced: displaced.len(),
+        migrations,
+        shed,
+        recovery_slots,
     }
 }
 
@@ -753,7 +823,7 @@ fn segment_plans(
     consolidator: &Consolidator,
     normal_placement: &PlacementReport,
     apps: &[ChaosApp],
-    segments: &[crate::schedule::Segment],
+    segments: &[Segment],
     options: &ReplayOptions,
     obs: ObsCtx<'_>,
 ) -> Result<Vec<SegmentPlan>, ChaosError> {
@@ -1001,6 +1071,30 @@ mod tests {
             err,
             Err(ChaosError::UnknownServer { server: 40, .. })
         ));
+    }
+
+    #[test]
+    fn calendar_mismatch_is_rejected() {
+        // Same slot count on an hourly calendar: twelve weeks, not one.
+        let cons = consolidator(1);
+        let mut apps = fleet(&[1.0, 1.2], WEEK);
+        let placement = normal_placement(&cons, &apps);
+        apps[1].demand = Trace::constant(Calendar::new(60).unwrap(), 1.2, WEEK).unwrap();
+        let err = replay(
+            &cons,
+            &placement,
+            &apps,
+            &FailureSchedule::none(),
+            &ReplayOptions::default(),
+            ObsCtx::none(),
+        );
+        assert_eq!(
+            err,
+            Err(ChaosError::Trace(TraceError::CalendarMismatch {
+                left: 5,
+                right: 60
+            }))
+        );
     }
 
     #[test]

@@ -57,7 +57,11 @@ impl Framework {
     /// The failure scope configured on the framework decides which
     /// applications relax to failure-mode QoS during an outage;
     /// `degradation` decides what happens to demand the survivors cannot
-    /// absorb.
+    /// absorb. `Some(config)` drives every re-placement through the
+    /// migration state machine (drain → transfer → cutover → health
+    /// check, storm caps) and attaches a
+    /// [`MigrationReport`](ropus_placement::migration::MigrationReport)
+    /// to the output; `None` teleports workloads at segment boundaries.
     ///
     /// # Errors
     ///
@@ -65,28 +69,6 @@ impl Framework {
     /// (wrapped as [`FrameworkError::Chaos`]).
     ///
     /// [`ChaosError`]: ropus_chaos::ChaosError
-    pub fn chaos_replay_on<'a>(
-        &self,
-        request: impl Into<PlanRequest<'a>>,
-        normal_placement: &PlacementReport,
-        schedule: &FailureSchedule,
-        degradation: DegradationPolicy,
-    ) -> Result<ChaosReport, FrameworkError> {
-        self.chaos_replay_on_with(request, normal_placement, schedule, degradation, None)
-    }
-
-    /// [`chaos_replay_on`](Self::chaos_replay_on) with an explicit
-    /// migration lifecycle model.
-    ///
-    /// `Some(config)` drives every re-placement through the migration
-    /// state machine (drain → transfer → cutover → health check, storm
-    /// caps) and attaches a
-    /// [`MigrationReport`](ropus_placement::migration::MigrationReport)
-    /// to the output; `None` keeps the historical teleport behavior.
-    ///
-    /// # Errors
-    ///
-    /// As for [`chaos_replay_on`](Self::chaos_replay_on).
     pub fn chaos_replay_on_with<'a>(
         &self,
         request: impl Into<PlanRequest<'a>>,
@@ -113,24 +95,6 @@ impl Framework {
             &options,
             obs,
         )?)
-    }
-
-    /// Consolidates the fleet in normal mode, then replays `schedule`
-    /// against that placement.
-    ///
-    /// # Errors
-    ///
-    /// As for [`plan_normal_only`](Self::plan_normal_only) and
-    /// [`chaos_replay_on`](Self::chaos_replay_on).
-    pub fn chaos_replay<'a>(
-        &self,
-        request: impl Into<PlanRequest<'a>>,
-        schedule: &FailureSchedule,
-        degradation: DegradationPolicy,
-    ) -> Result<ChaosReport, FrameworkError> {
-        let request = request.into();
-        let placement = self.plan_normal_only(request)?;
-        self.chaos_replay_on(request, &placement, schedule, degradation)
     }
 }
 
@@ -178,7 +142,13 @@ mod tests {
         }])
         .unwrap();
         let report = fw
-            .chaos_replay_on(&apps, &placement, &schedule, DegradationPolicy::default())
+            .chaos_replay_on_with(
+                &apps,
+                &placement,
+                &schedule,
+                DegradationPolicy::default(),
+                None,
+            )
             .unwrap();
         assert_eq!(report.slots, horizon);
         assert_eq!(report.windows.len(), 1);
@@ -194,11 +164,14 @@ mod tests {
     fn chaos_replay_without_failures_matches_normal_operation() {
         let apps = fleet(3);
         let fw = framework(3);
+        let placement = fw.plan_normal_only(&apps).unwrap();
         let report = fw
-            .chaos_replay(
+            .chaos_replay_on_with(
                 &apps,
+                &placement,
                 &FailureSchedule::none(),
                 DegradationPolicy::default(),
+                None,
             )
             .unwrap();
         assert_eq!(report.degraded_slots, 0);

@@ -92,10 +92,21 @@ impl LifecycleReport {
 }
 
 impl Framework {
-    /// Runs the medium-term control loop over the fleet's trace history.
+    /// Runs the medium-term control loop over the fleet's trace history
+    /// under a migration cost model.
     ///
     /// For every week `w >= window_weeks` of the common history, plans on
     /// weeks `[w - window_weeks, w)` and replays week `w` out of sample.
+    ///
+    /// With the zero-cost [`MigrationConfig::teleport`] each epoch's
+    /// re-plan takes effect instantly and `migrations` counts assignment
+    /// deltas. A paced config drives every epoch adjustment through the
+    /// migration state machine instead: moves start under the storm caps,
+    /// the source serves until cutover, the destination is double-booked
+    /// while a move is in flight, and the out-of-sample replay models all
+    /// of it with residency windows and reservation pressure on each
+    /// host. `migrations` then counts *committed* moves, and
+    /// `rolled_back`/`failed` surface the machine's failures.
     ///
     /// # Errors
     ///
@@ -107,32 +118,6 @@ impl Framework {
     ///
     /// Panics if `window_weeks` is zero.
     pub fn run_lifecycle(
-        &self,
-        apps: &[AppSpec],
-        window_weeks: usize,
-    ) -> Result<LifecycleReport, FrameworkError> {
-        self.run_lifecycle_with(apps, window_weeks, MigrationConfig::teleport())
-    }
-
-    /// [`run_lifecycle`](Self::run_lifecycle) under an explicit migration
-    /// cost model.
-    ///
-    /// With the zero-cost [`MigrationConfig::teleport`] (what
-    /// `run_lifecycle` uses) each epoch's re-plan takes effect instantly
-    /// and `migrations` counts assignment deltas — the historical
-    /// behavior, bit for bit. A paced config drives every epoch
-    /// adjustment through the migration state machine instead: moves
-    /// start under the storm caps, the source serves until cutover, the
-    /// destination is double-booked while a move is in flight, and the
-    /// out-of-sample replay models all of it with residency windows and
-    /// reservation pressure on each host. `migrations` then counts
-    /// *committed* moves, and `rolled_back`/`failed` surface the machine's
-    /// failures.
-    ///
-    /// # Errors and panics
-    ///
-    /// As for [`run_lifecycle`](Self::run_lifecycle).
-    pub fn run_lifecycle_with(
         &self,
         apps: &[AppSpec],
         window_weeks: usize,
@@ -153,6 +138,7 @@ impl Framework {
         let mut epochs = Vec::new();
         let mut previous_assignment: Option<Vec<usize>> = None;
         let calendar = first.demand().calendar();
+        let slots_per_week = calendar.slots_per_week();
 
         // One streaming SLO engine across the whole run, so burn-rate
         // windows and error budgets carry over epoch boundaries.
@@ -187,77 +173,35 @@ impl Framework {
                 self.options(),
             );
             let placement = consolidator.consolidate(&workloads, ObsCtx::none())?;
-            let slots_per_week = first.demand().calendar().slots_per_week();
 
             // Under a paced config (and once a baseline exists), walk the
-            // epoch's adjustment through the migration state machine.
-            let machine = match &previous_assignment {
+            // epoch's adjustment through the migration state machine;
+            // otherwise the re-plan takes effect at the week's start.
+            let (machine, windows) = match &previous_assignment {
                 Some(prev) if !migration.is_teleport() => {
                     let names: Vec<&str> = apps.iter().map(AppSpec::name).collect();
-                    Some(drive_epoch_moves(
+                    let report = drive_epoch_moves(
                         prev,
                         &placement.assignment,
                         migration,
                         slots_per_week,
                         &names,
-                    ))
-                }
-                _ => None,
-            };
-
-            // Replay the unseen week through each placed host, collecting
-            // every app's delivered utilization-of-allocation row.
-            let util: Vec<Vec<f64>> =
-                if let (Some(report), Some(prev)) = (&machine, &previous_assignment) {
-                    self.replay_week_with_moves(
-                        apps,
-                        &plans,
-                        &placement.assignment,
+                    );
+                    let windows = WeekWindows::paced(
                         prev,
-                        report,
-                        week,
+                        &placement.assignment,
+                        &report,
+                        apps.len(),
                         slots_per_week,
-                    )?
-                } else {
-                    let mut util: Vec<Vec<f64>> = vec![Vec::new(); apps.len()];
-                    for server_placement in &placement.servers {
-                        let hosted: Vec<HostedWorkload> = server_placement
-                            .workloads
-                            .iter()
-                            .map(|&i| {
-                                // lint:allow(panic-slice-index): the consolidator
-                                // built this placement over these same apps and
-                                // plans, so every index is in range.
-                                let (app, plan) = (&apps[i], &plans[i]);
-                                let demand = app
-                                    .demand()
-                                    .weeks_range(week, week + 1)
-                                    // lint:allow(panic-expect): `week` iterates
-                                    // `window_weeks..weeks`, inside the trace.
-                                    .expect("week bounds checked above");
-                                let policy =
-                                    WlmPolicy::from_translation(&app.policy().normal, &plan.normal);
-                                HostedWorkload::new(app.name(), demand, policy)
-                            })
-                            .collect();
-                        let host = Host::new(self.server().capacity())?;
-                        let outcome = host.run(&hosted, ObsCtx::none())?;
-                        // Host outcomes are returned in hosted order, which is
-                        // the placement's workload order — pair them back up
-                        // by zip.
-                        for (wo, &app_index) in
-                            outcome.workloads.iter().zip(&server_placement.workloads)
-                        {
-                            // lint:allow(panic-slice-index): placement indices
-                            // are in range (see above).
-                            // lint:allow(needless-trace-clone): the row is moved
-                            // into the shared util table, which outlives the
-                            // per-server outcome.
-                            util[app_index] = wo.utilization.samples().to_vec();
-                        }
-                    }
-                    util
-                };
+                    );
+                    (Some(report), windows)
+                }
+                _ => (
+                    None,
+                    WeekWindows::teleport(&placement.assignment, slots_per_week),
+                ),
+            };
+            let util = self.replay_week(apps, &plans, &windows, week, slots_per_week)?;
 
             // Audit each stitched row against the normal contract and
             // stream it through the SLO engine slot-major, so the alert
@@ -312,77 +256,41 @@ impl Framework {
         })
     }
 
-    /// Replays the unseen week with the epoch's committed moves modeled
-    /// as residency windows and its in-flight phases as capacity
-    /// reservations. Returns every application's stitched
-    /// utilization-of-allocation row for the week, in fleet order.
-    #[allow(clippy::too_many_arguments)]
-    fn replay_week_with_moves(
+    /// Replays the unseen week through every host that has a member
+    /// window, modeling each server's member windows as residency and its
+    /// reservation windows as capacity pressure. Returns every
+    /// application's stitched utilization-of-allocation row for the week,
+    /// in fleet order.
+    fn replay_week(
         &self,
         apps: &[AppSpec],
         plans: &[AppPlan],
-        assignment: &[usize],
-        prev: &[usize],
-        report: &MigrationReport,
+        windows: &WeekWindows,
         week: usize,
         slots_per_week: usize,
     ) -> Result<Vec<Vec<f64>>, FrameworkError> {
-        let server_count = prev
-            .iter()
-            .chain(assignment.iter())
-            .copied()
-            .max()
-            .map_or(0, |m| m + 1);
-        // Per-server residency (member) and reservation windows, as
-        // `(app, start, end)` half-open slot ranges.
-        let mut member_segs: Vec<Vec<(usize, usize, usize)>> = vec![Vec::new(); server_count];
-        let mut reserve_segs: Vec<Vec<(usize, usize, usize)>> = vec![Vec::new(); server_count];
-        let mut moved = vec![false; apps.len()];
-        for m in &report.moves {
-            if m.app >= apps.len() || m.to >= server_count {
-                continue;
-            }
-            // lint:allow(panic-slice-index): m.app < apps.len() checked
-            // above; moved has one entry per app.
-            moved[m.app] = true;
-            segment_move(m, slots_per_week, &mut member_segs, &mut reserve_segs);
-        }
-        for (app, &server) in prev.iter().enumerate() {
-            // lint:allow(panic-slice-index): prev and moved both have
-            // one entry per app.
-            if !moved[app] && server < server_count {
-                // lint:allow(panic-slice-index): server < server_count.
-                member_segs[server].push((app, 0, slots_per_week));
-            }
-        }
-
         let mut util: Vec<Vec<f64>> = vec![vec![0.0; slots_per_week]; apps.len()];
-        for server in 0..server_count {
-            // lint:allow(panic-slice-index): server < server_count.
-            let segs: Vec<(usize, usize, usize)> = member_segs[server]
-                .iter()
-                .copied()
-                .filter(|&(_, s, e)| s < e)
-                .collect();
+        for (members, reserved) in windows.members.iter().zip(&windows.reserved) {
+            let segs: Vec<(usize, usize, usize)> =
+                members.iter().copied().filter(|&(_, s, e)| s < e).collect();
             if segs.is_empty() {
                 continue;
             }
             let build = |&(app, start, end): &(usize, usize, usize)| {
-                // lint:allow(panic-slice-index): move records and prev
-                // were bounds-checked against apps above.
+                // lint:allow(panic-slice-index): window builders only
+                // emit apps of this fleet.
                 let (a, plan) = (&apps[app], &plans[app]);
                 let demand = a
                     .demand()
                     .weeks_range(week, week + 1)
                     // lint:allow(panic-expect): `week` iterates
                     // `window_weeks..weeks`, inside the trace.
-                    .expect("week bounds checked by run_lifecycle_with");
+                    .expect("week bounds checked by run_lifecycle");
                 let policy = WlmPolicy::from_translation(&a.policy().normal, &plan.normal);
                 HostedWorkload::new(a.name(), demand, policy).with_window(start, end)
             };
             let hosted: Vec<HostedWorkload> = segs.iter().map(build).collect();
-            // lint:allow(panic-slice-index): server < server_count.
-            let reserved: Vec<HostedWorkload> = reserve_segs[server]
+            let reserved: Vec<HostedWorkload> = reserved
                 .iter()
                 .filter(|&&(_, s, e)| s < e)
                 .map(build)
@@ -398,8 +306,73 @@ impl Framework {
                 util[app][start..end].copy_from_slice(&u[start..end]);
             }
         }
-
         Ok(util)
+    }
+}
+
+/// Per-server residency (member) and reservation windows of one
+/// out-of-sample week, as `(app, start, end)` half-open slot ranges,
+/// indexed by server id.
+struct WeekWindows {
+    members: Vec<Vec<(usize, usize, usize)>>,
+    reserved: Vec<Vec<(usize, usize, usize)>>,
+}
+
+impl WeekWindows {
+    /// A teleport epoch: every app is a full-week member on its new
+    /// server and nothing is reserved. Members are listed in ascending
+    /// app order, the order the placement reports each server's
+    /// workloads in, so every host sums its members in that order.
+    fn teleport(assignment: &[usize], slots_per_week: usize) -> Self {
+        let server_count = assignment.iter().max().map_or(0, |m| m + 1);
+        let mut members = vec![Vec::new(); server_count];
+        for (app, &server) in assignment.iter().enumerate() {
+            // lint:allow(panic-slice-index): server < server_count.
+            members[server].push((app, 0, slots_per_week));
+        }
+        WeekWindows {
+            members,
+            reserved: vec![Vec::new(); server_count],
+        }
+    }
+
+    /// A paced epoch: the machine's moves become residency and
+    /// reservation windows (see [`segment_move`]); apps that did not move
+    /// stay full-week members of their previous server.
+    fn paced(
+        prev: &[usize],
+        assignment: &[usize],
+        report: &MigrationReport,
+        apps: usize,
+        slots_per_week: usize,
+    ) -> Self {
+        let server_count = prev
+            .iter()
+            .chain(assignment.iter())
+            .copied()
+            .max()
+            .map_or(0, |m| m + 1);
+        let mut members = vec![Vec::new(); server_count];
+        let mut reserved = vec![Vec::new(); server_count];
+        let mut moved = vec![false; apps];
+        for m in &report.moves {
+            if m.app >= apps || m.to >= server_count {
+                continue;
+            }
+            // lint:allow(panic-slice-index): m.app < apps checked above;
+            // moved has one entry per app.
+            moved[m.app] = true;
+            segment_move(m, slots_per_week, &mut members, &mut reserved);
+        }
+        for (app, &server) in prev.iter().enumerate() {
+            // lint:allow(panic-slice-index): prev and moved both have
+            // one entry per app.
+            if !moved[app] && server < server_count {
+                // lint:allow(panic-slice-index): server < server_count.
+                members[server].push((app, 0, slots_per_week));
+            }
+        }
+        WeekWindows { members, reserved }
     }
 }
 
@@ -556,7 +529,9 @@ mod tests {
         // premise holds): 3 weeks of history, 2-week planning window, one
         // out-of-sample epoch (week 2 replayed on a weeks-0..2 plan).
         let apps = fleet_specs(10, 16, 3);
-        let report = framework(1).run_lifecycle(&apps, 2).unwrap();
+        let report = framework(1)
+            .run_lifecycle(&apps, 2, MigrationConfig::teleport())
+            .unwrap();
         assert_eq!(report.epochs.len(), 1);
         let epoch = &report.epochs[0];
         assert_eq!(epoch.week, 2);
@@ -577,7 +552,9 @@ mod tests {
         // guaranteed — the caveat behind the paper's "significant changes
         // in demand ... are best forecast by business units".
         let apps = fleet_specs(0, 6, 3);
-        let report = framework(1).run_lifecycle(&apps, 2).unwrap();
+        let report = framework(1)
+            .run_lifecycle(&apps, 2, MigrationConfig::teleport())
+            .unwrap();
         // No assertion that violations occur (seed-dependent), only that
         // the loop reports coherently.
         let epoch = &report.epochs[0];
@@ -592,11 +569,15 @@ mod tests {
     fn multiple_epochs_count_migrations() {
         // 4 weeks, 1-week window: epochs for weeks 1, 2, 3.
         let apps = fleet_specs(10, 15, 4);
-        let report = framework(2).run_lifecycle(&apps, 1).unwrap();
+        let report = framework(2)
+            .run_lifecycle(&apps, 1, MigrationConfig::teleport())
+            .unwrap();
         assert_eq!(report.epochs.len(), 3);
         assert_eq!(report.epochs[0].migrations, 0);
         // Determinism: re-running gives identical epochs.
-        let again = framework(2).run_lifecycle(&apps, 1).unwrap();
+        let again = framework(2)
+            .run_lifecycle(&apps, 1, MigrationConfig::teleport())
+            .unwrap();
         assert_eq!(report, again);
         assert_eq!(
             report.total_migrations(),
@@ -605,29 +586,39 @@ mod tests {
     }
 
     #[test]
-    fn teleport_config_reproduces_run_lifecycle_exactly() {
-        let apps = fleet_specs(10, 15, 4);
-        let plain = framework(2).run_lifecycle(&apps, 1).unwrap();
-        let teleport = framework(2)
-            .run_lifecycle_with(&apps, 1, MigrationConfig::teleport())
-            .unwrap();
-        assert_eq!(plain, teleport);
-        assert_eq!(
-            serde_json::to_string(&plain).unwrap(),
-            serde_json::to_string(&teleport).unwrap()
-        );
-        assert!(plain
-            .epochs
-            .iter()
-            .all(|e| e.rolled_back == 0 && e.failed == 0));
+    fn teleport_windows_host_members_in_placement_order() {
+        // The teleport epoch is the windowed replay's degenerate case: each
+        // host must see exactly its placed members, full-week, in the
+        // order the placement lists them, so its request sums associate
+        // as a direct replay of the placement would.
+        let apps = fleet_specs(0, 12, 1);
+        let placement = framework(3).plan_normal_only(&apps).unwrap();
+        assert!(placement.servers_used >= 2, "fixture must span servers");
+        let windows = WeekWindows::teleport(&placement.assignment, 2016);
+        let mut hosting = 0;
+        for (server, members) in windows.members.iter().enumerate() {
+            let listed: Vec<usize> = members.iter().map(|&(app, _, _)| app).collect();
+            match placement.servers.iter().find(|sp| sp.server == server) {
+                Some(sp) => {
+                    assert_eq!(listed, sp.workloads, "server {server}");
+                    hosting += 1;
+                }
+                None => assert!(listed.is_empty(), "server {server} hosts nothing"),
+            }
+            assert!(members.iter().all(|&(_, s, e)| (s, e) == (0, 2016)));
+        }
+        assert_eq!(hosting, placement.servers_used);
+        assert!(windows.reserved.iter().all(Vec::is_empty));
     }
 
     #[test]
     fn paced_config_drives_epoch_moves_through_the_machine() {
         let apps = fleet_specs(0, 8, 4);
-        let plain = framework(2).run_lifecycle(&apps, 1).unwrap();
+        let plain = framework(2)
+            .run_lifecycle(&apps, 1, MigrationConfig::teleport())
+            .unwrap();
         let paced = framework(2)
-            .run_lifecycle_with(&apps, 1, MigrationConfig::paced().with_max_in_flight(1))
+            .run_lifecycle(&apps, 1, MigrationConfig::paced().with_max_in_flight(1))
             .unwrap();
         assert_eq!(paced.epochs.len(), plain.epochs.len());
         // Same plans are produced either way, so committed moves can
@@ -646,7 +637,7 @@ mod tests {
         }
         // Determinism of the paced path.
         let again = framework(2)
-            .run_lifecycle_with(&apps, 1, MigrationConfig::paced().with_max_in_flight(1))
+            .run_lifecycle(&apps, 1, MigrationConfig::paced().with_max_in_flight(1))
             .unwrap();
         assert_eq!(paced, again);
     }
@@ -654,7 +645,9 @@ mod tests {
     #[test]
     fn lifecycle_reports_streaming_slo_attainment() {
         let apps = fleet_specs(10, 15, 4);
-        let report = framework(2).run_lifecycle(&apps, 1).unwrap();
+        let report = framework(2)
+            .run_lifecycle(&apps, 1, MigrationConfig::teleport())
+            .unwrap();
         let slo = report.slo.as_ref().expect("replay always attaches slo");
         assert_eq!(slo.apps.len(), apps.len());
         let slots_per_week = 2016; // five-minute calendar
@@ -676,11 +669,11 @@ mod tests {
     fn insufficient_history_is_rejected() {
         let apps = fleet_specs(0, 3, 2);
         assert!(matches!(
-            framework(0).run_lifecycle(&apps, 2),
+            framework(0).run_lifecycle(&apps, 2, MigrationConfig::teleport()),
             Err(FrameworkError::Trace(_))
         ));
         assert!(matches!(
-            framework(0).run_lifecycle(&[], 1),
+            framework(0).run_lifecycle(&[], 1, MigrationConfig::teleport()),
             Err(FrameworkError::NoApplications)
         ));
     }

@@ -388,32 +388,87 @@ pub fn access_probability(load: &AggregateLoad, capacity: f64) -> f64 {
     theta
 }
 
+/// A deadline-bounded FIFO of deferred demand: `(arrival slot, amount)`
+/// entries served oldest first.
+///
+/// This is the one carry-over rule (§III: CoS2 demand not satisfied on
+/// request must be served within the deadline `s`). The fit simulator's
+/// [`deadline_satisfied`] and the chaos replay's carry-over both drive
+/// it; amounts at or below the simulator's `1e-9` slack count as served.
+#[derive(Debug, Clone, Default)]
+pub struct Backlog {
+    entries: VecDeque<(usize, f64)>,
+}
+
+impl Backlog {
+    /// An empty backlog.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Defers `amount` of demand that arrived in `slot`. Slots must not
+    /// decrease between pushes.
+    pub fn push(&mut self, slot: usize, amount: f64) {
+        self.entries.push_back((slot, amount));
+    }
+
+    /// Serves deferred demand oldest first from `budget` spare capacity,
+    /// retiring entries that drop to the slack, and returns the amount
+    /// served. A budget at or below the slack serves nothing.
+    pub fn drain(&mut self, mut budget: f64) -> f64 {
+        let mut served = 0.0;
+        while budget > EPSILON {
+            let Some(front) = self.entries.front_mut() else {
+                break;
+            };
+            let take = front.1.min(budget);
+            front.1 -= take;
+            served += take;
+            budget -= take;
+            if front.1 <= EPSILON {
+                self.entries.pop_front();
+            }
+        }
+        served
+    }
+
+    /// Retires the oldest entry when its deadline has passed at `slot`
+    /// (it arrived `deadline_slots` or more slots earlier) and returns its
+    /// outstanding amount. Entries are in arrival order, so calling this
+    /// until it returns `None` expires everything overdue.
+    pub fn expire(&mut self, slot: usize, deadline_slots: usize) -> Option<f64> {
+        let &(arrival, amount) = self.entries.front()?;
+        if slot < arrival.saturating_add(deadline_slots) {
+            return None;
+        }
+        self.entries.pop_front();
+        Some(amount)
+    }
+
+    /// Total deferred demand still outstanding, summed oldest first.
+    pub fn outstanding(&self) -> f64 {
+        self.entries.iter().map(|e| e.1).sum()
+    }
+
+    /// Whether nothing is outstanding.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+}
+
 /// Checks that every unit of demand unsatisfied on request is served
 /// within `deadline_slots` slots, using surplus capacity in later slots
 /// (oldest shortfall first).
 pub fn deadline_satisfied(load: &AggregateLoad, capacity: f64, deadline_slots: usize) -> bool {
-    let mut backlog: VecDeque<(usize, f64)> = VecDeque::new();
+    let mut backlog = Backlog::new();
     for (slot, &total) in load.totals().iter().enumerate() {
         if total > capacity {
-            backlog.push_back((slot, total - capacity));
+            backlog.push(slot, total - capacity);
         } else {
-            let mut surplus = capacity - total;
-            while surplus > EPSILON {
-                let Some(front) = backlog.front_mut() else {
-                    break;
-                };
-                let served = front.1.min(surplus);
-                front.1 -= served;
-                surplus -= served;
-                if front.1 <= EPSILON {
-                    backlog.pop_front();
-                }
-            }
+            backlog.drain(capacity - total);
         }
-        if let Some(&(arrival, _)) = backlog.front() {
-            if slot >= arrival + deadline_slots {
-                return false;
-            }
+        if backlog.expire(slot, deadline_slots).is_some() {
+            return false;
         }
     }
     backlog.is_empty()
@@ -729,6 +784,30 @@ mod tests {
         // With deadline 1 slot, the backlog from slot 0 (4 units) cannot be
         // fully served by slot 1 (slot 1 is also overloaded).
         assert!(!deadline_satisfied(&load, 6.0, 1));
+    }
+
+    #[test]
+    fn backlog_drains_oldest_first_and_expires_at_the_deadline() {
+        let mut backlog = Backlog::new();
+        backlog.push(0, 3.0);
+        backlog.push(1, 2.0);
+        assert_eq!(backlog.outstanding(), 5.0);
+        // A budget at the slack serves nothing.
+        assert_eq!(backlog.drain(EPSILON), 0.0);
+        // 4 units retire the first entry and half the second.
+        assert_eq!(backlog.drain(4.0), 4.0);
+        assert_eq!(backlog.outstanding(), 1.0);
+        // The slot-1 entry is due at slot 1 + 2.
+        assert_eq!(backlog.expire(2, 2), None);
+        assert_eq!(backlog.expire(3, 2), Some(1.0));
+        assert_eq!(backlog.expire(3, 2), None);
+        assert!(backlog.is_empty());
+        // A deadline past the end of time saturates instead of wrapping.
+        backlog.push(5, 1.0);
+        assert_eq!(backlog.expire(usize::MAX - 1, usize::MAX), None);
+        // More budget than backlog serves only what is outstanding.
+        assert_eq!(backlog.drain(10.0), 1.0);
+        assert!(backlog.is_empty());
     }
 
     #[test]

@@ -10,9 +10,6 @@
 //!   immutable buffer so clones and weekly windows are allocation-free;
 //! * [`TraceView`] — the borrowed, lifetime-bound companion of [`Trace`]
 //!   for layers that only read samples;
-//! * [`FleetMatrix`] — columnar, slot-major storage packing a whole
-//!   fleet's traces into one contiguous buffer with O(1) per-app `Trace`
-//!   windows;
 //! * [`kernels`] — the chunked, auto-vectorizable slot kernels
 //!   (aggregate, cap/scale, CoS split, lane-chunked reductions) every hot
 //!   loop funnels through;
@@ -52,7 +49,6 @@
 
 mod calendar;
 mod error;
-mod matrix;
 mod trace;
 
 pub mod gen;
@@ -64,5 +60,4 @@ pub mod stats;
 
 pub use calendar::{Calendar, DayOfWeek, SlotPosition};
 pub use error::TraceError;
-pub use matrix::FleetMatrix;
 pub use trace::{Trace, TraceView};

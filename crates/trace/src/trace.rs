@@ -125,10 +125,8 @@ impl Trace {
     }
 
     /// Creates a trace sharing an already-validated buffer. The callers are
-    /// `TraceView::to_trace`, the windowing methods, and
-    /// [`FleetMatrix::column_trace`](crate::FleetMatrix::column_trace),
-    /// whose slices come from an existing validated buffer, so
-    /// re-validation is skipped.
+    /// `TraceView::to_trace` and the windowing methods, whose slices come
+    /// from an existing validated buffer, so re-validation is skipped.
     pub(crate) fn from_window(
         calendar: Calendar,
         buf: Arc<Vec<f64>>,
@@ -366,6 +364,31 @@ impl Trace {
         let mut out = Vec::with_capacity(self.len);
         kernels::cap_scale_into(&mut out, self.samples(), limit, factor);
         Trace::from_samples(self.calendar, out)
+    }
+
+    /// Checks that `other` shares this trace's calendar and length, the
+    /// precondition of co-scheduling two traces slot by slot.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceError::CalendarMismatch`] when the calendars differ
+    /// (checked first: equal slot counts on different calendars cover
+    /// different spans of time), and [`TraceError::Misaligned`] when the
+    /// lengths differ.
+    pub fn check_aligned(&self, other: &Trace) -> Result<(), TraceError> {
+        if self.calendar != other.calendar {
+            return Err(TraceError::CalendarMismatch {
+                left: self.calendar.slot_minutes(),
+                right: other.calendar.slot_minutes(),
+            });
+        }
+        if self.len != other.len {
+            return Err(TraceError::Misaligned {
+                left: self.len,
+                right: other.len,
+            });
+        }
+        Ok(())
     }
 
     /// Element-wise sum of two aligned traces.
@@ -763,6 +786,22 @@ mod tests {
         assert!(!nan_capped.shares_buffer(&t));
         // A negative limit produces negative samples and errors.
         assert!(t.capped(-1.0).is_err());
+    }
+
+    #[test]
+    fn check_aligned_reports_calendar_before_length() {
+        let t = Trace::constant(cal(), 1.0, 4).unwrap();
+        assert_eq!(t.check_aligned(&t.clone()), Ok(()));
+        let hourly = Trace::constant(Calendar::new(60).unwrap(), 1.0, 4).unwrap();
+        assert_eq!(
+            t.check_aligned(&hourly),
+            Err(TraceError::CalendarMismatch { left: 5, right: 60 })
+        );
+        let short = Trace::constant(cal(), 1.0, 3).unwrap();
+        assert_eq!(
+            t.check_aligned(&short),
+            Err(TraceError::Misaligned { left: 4, right: 3 })
+        );
     }
 
     #[test]

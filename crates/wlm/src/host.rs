@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use ropus_trace::{kernels, Trace, TraceError};
 
 use crate::error::WlmError;
-use crate::manager::{WlmPolicy, WorkloadManager};
+use crate::manager::{replay_requests, WlmPolicy};
 
 /// Bucket bounds of the `wlm.host.saturation` histogram: per-slot granted
 /// capacity as a fraction of the host's limit.
@@ -75,17 +75,42 @@ impl HostedWorkload {
             .map_or((0, len), |(s, e)| (s.min(len), e.min(len)));
         let mut c1 = vec![0.0; len];
         let mut c2 = vec![0.0; len];
-        let mut manager = WorkloadManager::new(self.policy);
-        let demand = self.demand.samples();
-        for slot in start..end {
-            // lint:allow(panic-slice-index): start/end clamped to len,
-            // and demand length was validated against len by the host.
-            let request = manager.observe(demand[slot]);
-            c1[slot] = request.cos1;
-            c2[slot] = request.cos2;
-        }
+        // lint:allow(panic-slice-index): start <= end <= len, and demand
+        // length was validated against len by the host.
+        let demand = &self.demand.samples()[start..end];
+        // lint:allow(panic-slice-index): as above; c1 and c2 have len.
+        replay_requests(
+            self.policy,
+            demand,
+            &mut c1[start..end],
+            &mut c2[start..end],
+        );
         (c1, c2)
     }
+}
+
+/// The two-priority grant rule for one slot on one host (§II): CoS1 is
+/// granted in full, scaled down proportionally only when the CoS1 sum
+/// itself exceeds `capacity`; CoS2 shares what remains proportionally.
+/// Returns the `(cos1, cos2)` scales, each in `[0, 1]`.
+///
+/// Every slot-level driver — [`Host::run_with_reservations`] and the
+/// chaos replay — calls this one rule. Only the rule is shared, not the
+/// sums: each driver keeps its own summation order, because the scales
+/// are a function of the sums' bits.
+pub fn grant_scales(capacity: f64, cos1_sum: f64, cos2_sum: f64) -> (f64, f64) {
+    let cos1_scale = if cos1_sum > capacity {
+        capacity / cos1_sum
+    } else {
+        1.0
+    };
+    let remaining = (capacity - cos1_sum * cos1_scale).max(0.0);
+    let cos2_scale = if cos2_sum > remaining && cos2_sum > 0.0 {
+        remaining / cos2_sum
+    } else {
+        1.0
+    };
+    (cos1_scale, cos2_scale)
 }
 
 /// Per-workload simulation outputs.
@@ -199,12 +224,7 @@ impl Host {
         let len = first.demand.len();
         let calendar = first.demand.calendar();
         for w in workloads.iter().chain(reservations) {
-            if w.demand.len() != len {
-                return Err(WlmError::Trace(TraceError::Misaligned {
-                    left: len,
-                    right: w.demand.len(),
-                }));
-            }
+            first.demand.check_aligned(&w.demand)?;
         }
 
         let n = workloads.len();
@@ -240,32 +260,22 @@ impl Host {
             kernels::add_assign(&mut cos2_sum, &c2);
         }
 
-        // Pass 3, slot-major: the two-priority scales. CoS1 is granted in
-        // full (scaled down proportionally only if the guarantee was
-        // violated upstream); CoS2 shares what remains proportionally.
-        let mut cos1_scale = vec![1.0; len];
-        let mut cos2_scale = vec![1.0; len];
+        // Pass 3, slot-major: the two-priority scales of `grant_scales`.
         let mut contended_slots = 0usize;
-        for (((&c1, &c2), s1), s2) in cos1_sum
+        let (cos1_scale, cos2_scale): (Vec<f64>, Vec<f64>) = cos1_sum
             .iter()
             .zip(&cos2_sum)
-            .zip(cos1_scale.iter_mut())
-            .zip(cos2_scale.iter_mut())
-        {
-            if c1 > self.capacity {
-                *s1 = self.capacity / c1;
-            }
-            let remaining = (self.capacity - c1 * *s1).max(0.0);
-            if c2 > remaining && c2 > 0.0 {
-                *s2 = remaining / c2;
-            }
-            if *s2 < 1.0 || *s1 < 1.0 {
-                contended_slots += 1;
-            }
-            if *s1 < 1.0 {
-                obs.counter("wlm.host.cos1_scaled_slots", 1);
-            }
-        }
+            .map(|(&c1, &c2)| {
+                let (s1, s2) = grant_scales(self.capacity, c1, c2);
+                if s2 < 1.0 || s1 < 1.0 {
+                    contended_slots += 1;
+                }
+                if s1 < 1.0 {
+                    obs.counter("wlm.host.cos1_scaled_slots", 1);
+                }
+                (s1, s2)
+            })
+            .unzip();
 
         // Pass 4, workload-major elementwise: grants and outcomes per
         // column, reusing the request buffers; host-level sums accumulate
@@ -518,6 +528,28 @@ mod tests {
             host.run(&[a, b], ObsCtx::none()),
             Err(WlmError::Trace(TraceError::Misaligned { .. }))
         ));
+    }
+
+    #[test]
+    fn calendar_mismatch_is_rejected_for_members_and_reservations() {
+        // Same slot count, different calendars: 2016 five-minute slots are
+        // one week, 2016 hourly slots are twelve — never co-schedulable.
+        let host = Host::new(10.0).unwrap();
+        let a = constant("a", 1.0, 2016, policy(0.0, 10.0));
+        let hourly = HostedWorkload::new(
+            "h",
+            Trace::constant(Calendar::new(60).unwrap(), 1.0, 2016).unwrap(),
+            policy(0.0, 10.0),
+        );
+        let mismatch = WlmError::Trace(TraceError::CalendarMismatch { left: 5, right: 60 });
+        assert_eq!(
+            host.run(&[a.clone(), hourly.clone()], ObsCtx::none()),
+            Err(mismatch.clone())
+        );
+        assert_eq!(
+            host.run_with_reservations(&[a], &[hourly], ObsCtx::none()),
+            Err(mismatch)
+        );
     }
 
     #[test]

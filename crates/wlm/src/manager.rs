@@ -114,6 +114,24 @@ impl WorkloadManager {
     }
 }
 
+/// Replays a fresh manager under `policy` over `demand`, writing each
+/// slot's CoS1 and CoS2 request into `cos1` and `cos2`.
+///
+/// This is the one manager replay every slot-level driver shares — the
+/// host scheduler per residency window, the chaos replay per segment.
+/// Managers only ever see their own demand, so replaying a whole column
+/// up front is bit-identical to stepping every manager once per slot.
+/// The output slices are written up to the shortest of the three
+/// lengths.
+pub fn replay_requests(policy: WlmPolicy, demand: &[f64], cos1: &mut [f64], cos2: &mut [f64]) {
+    let mut manager = WorkloadManager::new(policy);
+    for ((&d, c1), c2) in demand.iter().zip(cos1.iter_mut()).zip(cos2.iter_mut()) {
+        let request = manager.observe(d);
+        *c1 = request.cos1;
+        *c2 = request.cos2;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,6 +186,24 @@ mod tests {
         let s = slow.observe(4.0).total();
         assert!(s < f, "smoothed manager reacts more slowly: {s} vs {f}");
         assert!(slow.demand_estimate() < 4.0 && slow.demand_estimate() > 1.0);
+    }
+
+    #[test]
+    fn replay_requests_matches_stepping_a_manager() {
+        let demand = [2.0, 0.0, 7.5, 1.25, 3.0];
+        let mut cos1 = [f64::NAN; 5];
+        let mut cos2 = [f64::NAN; 5];
+        let p = WlmPolicy {
+            smoothing: 0.4,
+            ..policy()
+        };
+        replay_requests(p, &demand, &mut cos1, &mut cos2);
+        let mut wm = WorkloadManager::new(p);
+        for (t, &d) in demand.iter().enumerate() {
+            let r = wm.observe(d);
+            assert_eq!(r.cos1.to_bits(), cos1[t].to_bits());
+            assert_eq!(r.cos2.to_bits(), cos2[t].to_bits());
+        }
     }
 
     #[test]

@@ -50,8 +50,13 @@ fn main() -> Result<(), FrameworkError> {
         duration: 36,
     }])?;
 
-    let report =
-        framework.chaos_replay_on(&apps, &placement, &schedule, DegradationPolicy::default())?;
+    let report = framework.chaos_replay_on_with(
+        &apps,
+        &placement,
+        &schedule,
+        DegradationPolicy::default(),
+        None,
+    )?;
 
     println!(
         "outage: server {victim} down for {} slots ({} degraded slots total)",

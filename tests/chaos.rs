@@ -69,7 +69,13 @@ fn chaos_report_json_is_byte_identical_across_runs_and_threads() {
         let fw = framework(9, threads);
         let placement = fw.plan_normal_only(&apps).unwrap();
         let report = fw
-            .chaos_replay_on(&apps, &placement, &schedule, DegradationPolicy::default())
+            .chaos_replay_on_with(
+                &apps,
+                &placement,
+                &schedule,
+                DegradationPolicy::default(),
+                None,
+            )
             .unwrap();
         serde_json::to_string(&report).unwrap()
     };
@@ -164,11 +170,12 @@ fn replay_reproduces_supported_static_verdicts() {
         // shed_immediately reproduces the planner's audit semantics
         // exactly: no carried-over demand perturbs the grants.
         let report = fw
-            .chaos_replay_on(
+            .chaos_replay_on_with(
                 &apps,
                 &plan.normal_placement,
                 &schedule,
                 DegradationPolicy::shed_immediately(),
+                None,
             )
             .unwrap();
         assert_eq!(report.degraded_slots, horizon);
@@ -221,11 +228,12 @@ fn replay_reproduces_unsupported_static_verdicts() {
     }])
     .unwrap();
     let report = fw
-        .chaos_replay_on(
+        .chaos_replay_on_with(
             &apps,
             &plan.normal_placement,
             &schedule,
             DegradationPolicy::shed_immediately(),
+            None,
         )
         .unwrap();
     // Best-effort packing doubled up two apps on one survivor; their
@@ -256,7 +264,13 @@ fn carry_over_defers_and_recovers() {
     }])
     .unwrap();
     let report = fw
-        .chaos_replay_on(&apps, &placement, &schedule, DegradationPolicy::default())
+        .chaos_replay_on_with(
+            &apps,
+            &placement,
+            &schedule,
+            DegradationPolicy::default(),
+            None,
+        )
         .unwrap();
     assert_eq!(report.windows.len(), 1);
     assert_eq!(report.degraded_slots, 36);
@@ -304,11 +318,12 @@ fn replay_surfaces_slo_attainment_and_burn_alerts() {
     }])
     .unwrap();
     let report = fw
-        .chaos_replay_on(
+        .chaos_replay_on_with(
             &apps,
             &plan.normal_placement,
             &schedule,
             DegradationPolicy::shed_immediately(),
+            None,
         )
         .unwrap();
 
@@ -358,4 +373,107 @@ fn replay_surfaces_slo_attainment_and_burn_alerts() {
     // The summary rides inside the report's JSON for archival.
     let json = serde_json::to_string(&report).unwrap();
     assert!(json.contains("\"slo\"") && json.contains("\"alerts\""));
+}
+
+/// Report digests recorded before the slot rules were merged, in the
+/// order `slot_scheduler_outputs_match_pinned_digests` produces them.
+const PINNED_DIGESTS: [u64; 10] = [
+    // AffectedOnly: teleport carry, teleport shed, paced carry, paced shed.
+    0x5c3c_7fec_69d9_6f66,
+    0x6bca_eb8f_fe45_3d7c,
+    0x43b8_3e3a_9006_f722,
+    0x10f0_2770_c6fa_657e,
+    // AllApplications: the same four.
+    0x4439_6482_528e_e408,
+    0x329a_9335_32f2_5226,
+    0x847e_8bdb_2193_6c9c,
+    0x5121_c5e8_8568_a8fc,
+    // Lifecycle: teleport, paced.
+    0xdc20_7d83_bb74_e50a,
+    0x67e8_ff01_51f9_7d94,
+];
+
+/// 64-bit FNV-1a over a report's `serde_json` bytes.
+fn fnv64(json: &str) -> u64 {
+    json.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Cross-commit output pin: digests of chaos reports over {teleport,
+/// paced with one move in flight} × {carry-over, shed} × both failure
+/// scopes, and of lifecycle reports under teleport and paced moves, all
+/// on a small scripted fleet. Any change to a slot rule — manager replay,
+/// grant scales, the deadline backlog, or the week replay — that moves a
+/// single bit of any report fails here; refactors of those rules must
+/// keep every digest.
+#[test]
+fn slot_scheduler_outputs_match_pinned_digests() {
+    let hourly_policy = QosPolicy {
+        normal: AppQos::paper_default(Some(120)),
+        failure: AppQos::paper_default(None),
+    };
+    let hourly_fleet = |weeks: usize| -> Vec<AppSpec> {
+        case_study_fleet(&FleetConfig {
+            apps: 16,
+            weeks,
+            calendar: Calendar::new(60).unwrap(),
+            ..FleetConfig::paper()
+        })
+        .into_iter()
+        .map(|a| AppSpec::new(a.name, a.trace, hourly_policy))
+        .collect()
+    };
+    let framework = |scope: FailureScope| {
+        Framework::builder()
+            .server(ServerSpec::new(10, 1.0))
+            .commitments(PoolCommitments::new(CosSpec::new(0.9, 240).unwrap()))
+            .options(ConsolidationOptions::fast(9))
+            .failure_scope(scope)
+            .build()
+    };
+    let apps = hourly_fleet(1);
+    let horizon = apps[0].demand().len();
+    let mut digests = Vec::new();
+    for scope in [FailureScope::AffectedOnly, FailureScope::AllApplications] {
+        let fw = framework(scope);
+        let placement = fw.plan_normal_only(&apps).unwrap();
+        // Two overlapping outages: a single failure, a double failure,
+        // then the second server alone, so one window chains segments.
+        let schedule = FailureSchedule::scripted(vec![
+            FailureEvent {
+                server: placement.servers[0].server,
+                start: horizon / 3,
+                duration: 12,
+            },
+            FailureEvent {
+                server: placement.servers[1].server,
+                start: horizon / 3 + 6,
+                duration: 12,
+            },
+        ])
+        .unwrap();
+        for migration in [None, Some(MigrationConfig::paced().with_max_in_flight(1))] {
+            for degradation in [
+                DegradationPolicy::default(),
+                DegradationPolicy::shed_immediately(),
+            ] {
+                let report = fw
+                    .chaos_replay_on_with(&apps, &placement, &schedule, degradation, migration)
+                    .unwrap();
+                digests.push(fnv64(&serde_json::to_string(&report).unwrap()));
+            }
+        }
+    }
+    let history = hourly_fleet(4);
+    for migration in [
+        MigrationConfig::teleport(),
+        MigrationConfig::paced().with_max_in_flight(1),
+    ] {
+        let report = framework(FailureScope::AffectedOnly)
+            .run_lifecycle(&history, 1, migration)
+            .unwrap();
+        digests.push(fnv64(&serde_json::to_string(&report).unwrap()));
+    }
+    assert_eq!(digests, PINNED_DIGESTS, "{digests:#018x?}");
 }

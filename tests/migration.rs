@@ -130,7 +130,7 @@ proptest! {
         let placement = fw.plan_normal_only(&apps).unwrap();
         let schedule = outage_for(&placement);
         let legacy = fw
-            .chaos_replay_on(&apps, &placement, &schedule, DegradationPolicy::default())
+            .chaos_replay_on_with(&apps, &placement, &schedule, DegradationPolicy::default(), None)
             .unwrap();
         let mut teleport = fw
             .chaos_replay_on_with(

@@ -50,11 +50,12 @@ fn observed_run_json(seed: u64, threads: usize) -> String {
     }])
     .unwrap();
     let _report = fw
-        .chaos_replay_on(
+        .chaos_replay_on_with(
             PlanRequest::of(&apps).with_obs(&obs),
             &placement,
             &schedule,
             DegradationPolicy::default(),
+            None,
         )
         .unwrap();
     serde_json::to_string(&obs.report()).unwrap()

@@ -12,13 +12,15 @@ use ropus_placement::failure::{
     analyze_multi_failures, single_failure_sweep, MultiFailureAnalysis,
 };
 use ropus_placement::server::Pool;
-use ropus_placement::simulator::{access_probability, AggregateLoad, FitOptions, FitRequest};
+use ropus_placement::simulator::{
+    access_probability, deadline_satisfied, AggregateLoad, Backlog, FitOptions, FitRequest,
+};
 use ropus_placement::workload::Workload;
 use ropus_placement::PlacementError;
 use ropus_qos::portfolio::{breakpoint, split_demand, worst_case_utilization};
 use ropus_qos::translation::translate;
 use ropus_trace::gen::AppWorkload;
-use ropus_trace::{kernels, stats, FleetMatrix};
+use ropus_trace::{kernels, stats};
 
 fn hourly() -> Calendar {
     Calendar::new(60).unwrap()
@@ -27,6 +29,107 @@ fn hourly() -> Calendar {
 /// A week of non-negative hourly demand samples.
 fn demand_week() -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(0.0f64..20.0, 168)
+}
+
+/// Slack below which deferred demand counts as served, in both the fit
+/// simulator and the chaos replay.
+const BACKLOG_EPSILON: f64 = 1e-9;
+
+/// The fit simulator's deadline check as it stood before [`Backlog`]: a
+/// FIFO of `(arrival, amount)` drained oldest first from each slot's
+/// surplus, failing as soon as the oldest entry reaches its deadline.
+fn reference_deadline_satisfied(totals: &[f64], capacity: f64, deadline_slots: usize) -> bool {
+    let mut backlog: std::collections::VecDeque<(usize, f64)> = Default::default();
+    for (slot, &total) in totals.iter().enumerate() {
+        if total > capacity {
+            backlog.push_back((slot, total - capacity));
+        } else {
+            let mut surplus = capacity - total;
+            while surplus > BACKLOG_EPSILON {
+                let Some(front) = backlog.front_mut() else {
+                    break;
+                };
+                let served = front.1.min(surplus);
+                front.1 -= served;
+                surplus -= served;
+                if front.1 <= BACKLOG_EPSILON {
+                    backlog.pop_front();
+                }
+            }
+        }
+        if let Some(&(arrival, _)) = backlog.front() {
+            if slot >= arrival + deadline_slots {
+                return false;
+            }
+        }
+    }
+    backlog.is_empty()
+}
+
+/// The chaos replay's per-app carry-over as it stood before [`Backlog`]:
+/// every slot drains leftover grant into the backlog, defers the slot's
+/// shortfall, then sheds entries past their deadline. Returns the bits
+/// of every amount the replay accumulated — served late, shed, and the
+/// outstanding total — slot by slot.
+fn reference_carry_over(slots: &[(f64, f64)], deadline_slots: usize) -> Vec<u64> {
+    let mut backlog: std::collections::VecDeque<(usize, f64)> = Default::default();
+    let (mut served_late, mut shed) = (0.0f64, 0.0f64);
+    let mut bits = Vec::new();
+    for (slot, &(leftover, shortfall)) in slots.iter().enumerate() {
+        let mut leftover = leftover;
+        let mut late = 0.0f64;
+        while leftover > BACKLOG_EPSILON {
+            let Some(front) = backlog.front_mut() else {
+                break;
+            };
+            let take = front.1.min(leftover);
+            front.1 -= take;
+            late += take;
+            leftover -= take;
+            if front.1 <= BACKLOG_EPSILON {
+                backlog.pop_front();
+            }
+        }
+        served_late += late;
+        if shortfall > BACKLOG_EPSILON {
+            backlog.push_back((slot, shortfall));
+        }
+        let mut slot_shed = 0.0f64;
+        while let Some(&(arrival, amount)) = backlog.front() {
+            if slot >= arrival + deadline_slots {
+                shed += amount;
+                slot_shed += amount;
+                backlog.pop_front();
+            } else {
+                break;
+            }
+        }
+        let outstanding: f64 = backlog.iter().map(|e| e.1).sum();
+        bits.extend([late, served_late, shed, slot_shed, outstanding].map(f64::to_bits));
+    }
+    bits
+}
+
+/// [`reference_carry_over`] driven through [`Backlog`].
+fn backlog_carry_over(slots: &[(f64, f64)], deadline_slots: usize) -> Vec<u64> {
+    let mut backlog = Backlog::new();
+    let (mut served_late, mut shed) = (0.0f64, 0.0f64);
+    let mut bits = Vec::new();
+    for (slot, &(leftover, shortfall)) in slots.iter().enumerate() {
+        let late = backlog.drain(leftover);
+        served_late += late;
+        if shortfall > BACKLOG_EPSILON {
+            backlog.push(slot, shortfall);
+        }
+        let mut slot_shed = 0.0f64;
+        while let Some(amount) = backlog.expire(slot, deadline_slots) {
+            shed += amount;
+            slot_shed += amount;
+        }
+        let outstanding = backlog.outstanding();
+        bits.extend([late, served_late, shed, slot_shed, outstanding].map(f64::to_bits));
+    }
+    bits
 }
 
 /// A valid utilization band with visible gaps between the bounds.
@@ -354,10 +457,44 @@ proptest! {
         }
     }
 
-    /// Fleet aggregation and order statistics agree bitwise across all
-    /// three implementations: the slot-major `FleetMatrix` path, the
-    /// `add_assign` column accumulation, and the scalar per-slot sum —
-    /// and quickselect percentiles match the sorted-cache path.
+    /// The `Backlog`-based deadline check and carry-over reproduce the
+    /// loops they replaced bit for bit, over random totals, capacities,
+    /// grants, shortfalls and deadlines from 0 to 24 slots.
+    #[test]
+    fn backlog_matches_the_replaced_deadline_and_carry_over_loops(
+        totals in demand_week(),
+        capacity in 2.0f64..20.0,
+        deadline in 0usize..=24,
+        slots in proptest::collection::vec((0.0f64..6.0, 0.0f64..4.0, 0u8..4), 1..120),
+    ) {
+        let zeros = Trace::constant(hourly(), 0.0, 168).unwrap();
+        let workload =
+            Workload::new("w", zeros, Trace::from_samples(hourly(), totals.clone()).unwrap())
+                .unwrap();
+        let load = AggregateLoad::of(&[&workload]).unwrap();
+        prop_assert_eq!(
+            deadline_satisfied(&load, capacity, deadline),
+            reference_deadline_satisfied(&totals, capacity, deadline)
+        );
+        // Zero out some grants and shortfalls so idle slots, pure drains
+        // and pure deferrals all occur.
+        let slots: Vec<(f64, f64)> = slots
+            .iter()
+            .map(|&(grant, short, mode)| match mode {
+                0 => (0.0, short),
+                1 => (grant, 0.0),
+                _ => (grant, short),
+            })
+            .collect();
+        prop_assert_eq!(
+            backlog_carry_over(&slots, deadline),
+            reference_carry_over(&slots, deadline)
+        );
+    }
+
+    /// Fleet aggregation agrees bitwise between the `add_assign` column
+    /// accumulation and the scalar per-slot sum, and quickselect
+    /// percentiles match the sorted-cache path.
     #[test]
     fn fleet_aggregation_and_percentiles_match_scalar_references(
         fleet in proptest::collection::vec(proptest::collection::vec(0.0f64..20.0, 168), 1..6),
@@ -367,9 +504,6 @@ proptest! {
             .iter()
             .map(|s| Trace::from_samples(hourly(), s.clone()).unwrap())
             .collect();
-        let matrix = FleetMatrix::from_traces(&traces).unwrap();
-
-        let aggregate = matrix.aggregate();
         let mut columnar = vec![0.0; 168];
         for column in &fleet {
             kernels::add_assign(&mut columnar, column);
@@ -379,7 +513,6 @@ proptest! {
             for column in &fleet {
                 scalar += column[slot];
             }
-            prop_assert_eq!(scalar.to_bits(), aggregate[slot].to_bits());
             prop_assert_eq!(scalar.to_bits(), columnar[slot].to_bits());
         }
 
