@@ -195,6 +195,54 @@ print(
 )
 PYEOF
 
+echo "==> many-server serve smoke"
+# The serve smoke above opens one or two servers, so each admit's probe
+# list never splits across workers. This script opens at least six,
+# departs every third app and re-admits it, and must replay
+# byte-identically at --threads 1 and 4, both as plain responses and as
+# the --obs det subscribe stream.
+python3 - "$OBS_TMP" <<'PYEOF'
+import json, sys
+t = sys.argv[1]
+lines = ['{"cmd":"subscribe"}']
+for i in range(24):
+    lines.append(json.dumps({"cmd": "admit", "name": f"app-{i}", "level": 3.0 + i % 5}))
+    if i % 6 == 5:
+        lines.append('{"cmd":"tick"}')
+for i in range(0, 24, 3):
+    lines.append(json.dumps({"cmd": "depart", "name": f"app-{i}"}))
+lines.append('{"cmd":"tick","slots":2}')
+for i in range(0, 24, 3):
+    lines.append(json.dumps({"cmd": "admit", "name": f"app-{i}", "level": 2.5 + i % 4}))
+lines += ['{"cmd":"tick"}', '{"cmd":"snapshot"}', '{"cmd":"shutdown"}']
+with open(f"{t}/many-script.jsonl", "w") as f:
+    f.write("\n".join(lines) + "\n")
+PYEOF
+for threads in 1 4; do
+    cargo run --release -q -p ropus-cli -- serve \
+        --policy "$OBS_TMP/policy.json" --threads "$threads" \
+        < "$OBS_TMP/many-script.jsonl" > "$OBS_TMP/many-$threads.jsonl"
+    cargo run --release -q -p ropus-cli -- serve \
+        --policy "$OBS_TMP/policy.json" --obs det --threads "$threads" \
+        < "$OBS_TMP/many-script.jsonl" > "$OBS_TMP/many-det-$threads.jsonl"
+done
+diff "$OBS_TMP/many-1.jsonl" "$OBS_TMP/many-4.jsonl" \
+    || { echo "many-server serve responses differ across --threads"; exit 1; }
+diff "$OBS_TMP/many-det-1.jsonl" "$OBS_TMP/many-det-4.jsonl" \
+    || { echo "many-server subscribe stream differs across --threads"; exit 1; }
+python3 - "$OBS_TMP" <<'PYEOF'
+import json, sys
+t = sys.argv[1]
+servers = set()
+for line in open(f"{t}/many-1.jsonl"):
+    obj = json.loads(line)
+    if obj.get("cmd") == "admit" and obj.get("decision") == "accepted":
+        servers.add(obj["server"])
+if len(servers) < 6:
+    raise SystemExit(f"many-server script opened only {len(servers)} servers")
+print(f"many-server serve smoke: {len(servers)} servers opened")
+PYEOF
+
 echo "==> migration smoke"
 # Storm-recovery gate: a 50-app fleet loses two servers back to back,
 # and every re-placement is driven through the migration state machine.

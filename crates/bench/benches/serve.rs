@@ -37,13 +37,13 @@ fn bench_pool() -> (Vec<Workload>, Vec<usize>, PoolCommitments) {
     let mut session = EngineSession::new(ServerSpec::sixteen_way(), commitments);
     let mut assignment = Vec::with_capacity(workloads.len());
     for workload in &workloads {
-        let server = (0..session.server_count())
-            .find(|&s| {
-                session.server_members(s).len() < 2
-                    && session
-                        .probe(workload, s)
-                        .is_ok_and(|required| required.is_some())
-            })
+        let probes = session
+            .probe_all(workload)
+            .expect("bench workloads are valid");
+        let server = probes
+            .iter()
+            .enumerate()
+            .position(|(s, required)| session.server_members(s).len() < 2 && required.is_some())
             .unwrap_or(session.server_count());
         session
             .admit(workload.clone(), server)

@@ -70,7 +70,8 @@ pub struct DaemonConfig {
     pub weeks: usize,
     /// Required-capacity binary-search tolerance, in capacity units.
     pub tolerance: f64,
-    /// Worker threads for delta refreshes (never changes any result).
+    /// Worker threads for delta refreshes and admission probes (never
+    /// changes any result).
     pub threads: usize,
     /// Ticks a queued admission survives before expiring; 0 disables the
     /// queue (every `Queue` verdict becomes a rejection).
@@ -318,18 +319,19 @@ impl Daemon {
         std::mem::take(&mut self.pending)
     }
 
-    /// Probes every touched server and asks the policy for a verdict.
-    /// Returns the probes too so callers can answer "what would the
+    /// Probes every touched server in one pass and asks the policy for a
+    /// verdict. Returns the probes too — plus the fresh server's probe
+    /// when the verdict opens one — so callers can answer "what would the
     /// target require?" without forcing a refresh.
     fn decide(&self, workload: &Workload) -> Result<(AdmissionDecision, Vec<ServerProbe>), String> {
-        let mut probes = Vec::with_capacity(self.session.server_count());
-        for server in 0..self.session.server_count() {
-            let required = self
-                .session
-                .probe(workload, server)
-                .map_err(|e| e.to_string())?;
-            probes.push(ServerProbe { server, required });
-        }
+        let mut probes: Vec<ServerProbe> = self
+            .session
+            .probe_all(workload)
+            .map_err(|e| e.to_string())?
+            .into_iter()
+            .enumerate()
+            .map(|(server, required)| ServerProbe { server, required })
+            .collect();
         let servers_open = (0..self.session.server_count())
             .filter(|&s| !self.session.server_members(s).is_empty())
             .count();
@@ -353,16 +355,17 @@ impl Daemon {
             // fit: a demand that cannot satisfy the commitments alone on
             // an empty server can never be placed, so reject it rather
             // than queueing it forever.
-            if server >= probes.len()
-                && self
+            if server >= probes.len() {
+                let required = self
                     .session
                     .probe(workload, server)
-                    .map_err(|e| e.to_string())?
-                    .is_none()
-            {
-                decision = AdmissionDecision::Reject {
-                    reason: "demand does not fit an empty server".to_string(),
-                };
+                    .map_err(|e| e.to_string())?;
+                if required.is_none() {
+                    decision = AdmissionDecision::Reject {
+                        reason: "demand does not fit an empty server".to_string(),
+                    };
+                }
+                probes.push(ServerProbe { server, required });
             }
         }
         if matches!(decision, AdmissionDecision::Queue) && self.config.queue_deadline_slots == 0 {
@@ -377,7 +380,7 @@ impl Daemon {
     pub fn admit(&mut self, name: &str, demand: &DemandSpec, obs: ObsCtx<'_>) -> Response {
         let mut response = Response::ok("admit");
         response.name = Some(name.to_string());
-        if self.queued_names().iter().any(|n| n == name) {
+        if self.queue.iter().any(|q| q.workload.name() == name) {
             return Response::error("admit", format!("{name:?} is already queued"));
         }
         let (workload, samples) = match self.translate_demand(name, demand, obs) {
@@ -392,14 +395,13 @@ impl Daemon {
         match decision {
             AdmissionDecision::Accept { server } => {
                 // Answer the post-admission requirement from the probe
-                // (recomputing it for a freshly opened server) rather
+                // (`decide` probed a freshly opened server too) rather
                 // than refreshing the whole pool — the deferred batch
                 // recompute stays with `tick`.
                 let required = probes
                     .iter()
                     .find(|p| p.server == server)
-                    .map(|p| p.required)
-                    .unwrap_or_else(|| self.session.probe(&workload, server).ok().flatten());
+                    .and_then(|p| p.required);
                 self.watch_admit(&workload, samples);
                 if let Err(e) = self.session.admit(workload, server) {
                     self.watch.remove(name);

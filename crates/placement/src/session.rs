@@ -25,11 +25,16 @@
 //! * each per-server required capacity is a pure function of that load,
 //!   and [`parallel_map`] preserves input
 //!   order, so recomputing stale servers in parallel is bit-identical to
-//!   the serial path.
+//!   the serial path;
+//! * [`probe_all`](EngineSession::probe_all) validates the candidate
+//!   once and fans the per-server probes over the same
+//!   [`parallel_map`], so it equals [`probe`](EngineSession::probe) on
+//!   each server in turn.
 //!
-//! The `session_matches_cold_replan` proptest in `tests/serve.rs` holds
-//! this contract to arbitrary admit/depart/reassign sequences across
-//! 1 and 4 threads.
+//! The `session_delta_history_matches_cold_replan` and
+//! `probe_all_matches_per_server_probes` proptests in `tests/serve.rs`
+//! hold this contract to arbitrary admit/depart/reassign/migration
+//! sequences across 1 and 4 threads.
 
 use serde::{Deserialize, Serialize};
 
@@ -161,8 +166,9 @@ impl EngineSession {
         self
     }
 
-    /// Sets the worker-thread count for refreshes; values below 1 are
-    /// clamped to 1 (serial). Thread count never changes any result.
+    /// Sets the worker-thread count for refreshes and
+    /// [`probe_all`](Self::probe_all); values below 1 are clamped to 1
+    /// (serial). Thread count never changes any result.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -608,24 +614,52 @@ impl EngineSession {
     }
 
     /// Probes an admission without mutating the session: the capacity the
-    /// server would require with `workload` added to its current members,
-    /// or `None` when the enlarged set does not fit.
+    /// server would require with `workload` added to its current members
+    /// and reservations, or `None` when the enlarged set does not fit.
+    /// The one-server case of [`probe_all`](Self::probe_all).
     ///
     /// # Errors
     ///
     /// Returns a [`PlacementError`] when the workload fails admission
     /// validation (duplicate name, misaligned, partial weeks).
     pub fn probe(&self, workload: &Workload, server: usize) -> Result<Option<f64>, PlacementError> {
+        Ok(self.probe_servers(workload, &[server])?.pop().flatten())
+    }
+
+    /// [`probe`](Self::probe) on every server the session has touched,
+    /// indexed by server. The candidate is validated once, and the
+    /// per-server "aggregate + candidate → required capacity" searches
+    /// fan out over the worker pool; [`parallel_map`] keeps them in
+    /// server order, so the result is bit-identical to probing each
+    /// server in turn on any thread count.
+    ///
+    /// # Errors
+    ///
+    /// As for [`probe`](Self::probe).
+    pub fn probe_all(&self, workload: &Workload) -> Result<Vec<Option<f64>>, PlacementError> {
+        let servers: Vec<usize> = (0..self.servers.len()).collect();
+        self.probe_servers(workload, &servers)
+    }
+
+    fn probe_servers(
+        &self,
+        workload: &Workload,
+        servers: &[usize],
+    ) -> Result<Vec<Option<f64>>, PlacementError> {
         self.check_admissible(workload)?;
-        let mut refs: Vec<&Workload> = self
-            .server_members(server)
-            .iter()
-            .chain(self.server_reserved(server))
-            .filter_map(|&id| self.workload(id))
-            .collect();
-        refs.push(workload);
-        let load = AggregateLoad::of(&refs)?;
-        Ok(self.required_of(&load))
+        parallel_map(self.threads, servers, |&server| {
+            let mut refs: Vec<&Workload> = self
+                .server_members(server)
+                .iter()
+                .chain(self.server_reserved(server))
+                .filter_map(|&id| self.workload(id))
+                .collect();
+            refs.push(workload);
+            let load = AggregateLoad::of(&refs)?;
+            Ok(self.required_of(&load))
+        })
+        .into_iter()
+        .collect()
     }
 
     fn fit_options(&self) -> FitOptions {

@@ -366,6 +366,14 @@ pub struct FitReport {
 ///
 /// Slots with no demand in any day count as fully satisfied.
 pub fn access_probability(load: &AggregateLoad, capacity: f64) -> f64 {
+    theta_scan(load, capacity, f64::NEG_INFINITY)
+}
+
+/// The [`access_probability`] scan, stopping as soon as the running
+/// minimum `θ` satisfies `θ + EPSILON < target`. The final minimum can
+/// only be lower, so a stopped scan still fails `θ + EPSILON >= target`
+/// exactly as the full scan would; with `target = -∞` it never stops.
+fn theta_scan(load: &AggregateLoad, capacity: f64, target: f64) -> f64 {
     let per_day = load.calendar.slots_per_day();
     let per_week = load.calendar.slots_per_week();
     let weeks = load.len() / per_week;
@@ -382,6 +390,9 @@ pub fn access_probability(load: &AggregateLoad, capacity: f64) -> f64 {
             }
             if requested > 0.0 {
                 theta = theta.min(satisfied / requested);
+                if theta + EPSILON < target {
+                    return theta;
+                }
             }
         }
     }
@@ -564,29 +575,17 @@ impl<'a> FitRequest<'a> {
     pub fn evaluate(&self, capacity: f64) -> FitReport {
         let load = self.load;
         let cos1_peak_sum = load.cos1_peak_sum();
-        if load.memory_peak() > self.options.memory_capacity() + EPSILON {
+        if let Some(violation) = self.guarantee_violation(capacity) {
             return FitReport {
                 fits: false,
-                violation: Some(FitViolation::MemoryOverflow),
-                cos1_peak_sum,
-                measured_theta: 0.0,
-                deadline_met: false,
-            };
-        }
-        if cos1_peak_sum > capacity + EPSILON {
-            return FitReport {
-                fits: false,
-                violation: Some(FitViolation::Cos1Overflow),
+                violation: Some(violation),
                 cos1_peak_sum,
                 measured_theta: 0.0,
                 deadline_met: false,
             };
         }
         let measured_theta = access_probability(load, capacity);
-        let deadline_slots = load
-            .calendar()
-            .slots_in_minutes(self.commitments.cos2.deadline_minutes());
-        let deadline_met = deadline_satisfied(load, capacity, deadline_slots);
+        let deadline_met = deadline_satisfied(load, capacity, self.deadline_slots());
         let theta_ok = measured_theta + EPSILON >= self.commitments.cos2.theta();
         let violation = if !theta_ok {
             Some(FitViolation::ThetaShortfall)
@@ -602,6 +601,38 @@ impl<'a> FitRequest<'a> {
             measured_theta,
             deadline_met,
         }
+    }
+
+    /// The violated non-statistical constraint at `capacity`, memory
+    /// before CoS1, if any.
+    fn guarantee_violation(&self, capacity: f64) -> Option<FitViolation> {
+        if self.load.memory_peak() > self.options.memory_capacity() + EPSILON {
+            Some(FitViolation::MemoryOverflow)
+        } else if self.load.cos1_peak_sum() > capacity + EPSILON {
+            Some(FitViolation::Cos1Overflow)
+        } else {
+            None
+        }
+    }
+
+    /// The CoS2 deadline in slots of the load's calendar.
+    fn deadline_slots(&self) -> usize {
+        self.load
+            .calendar()
+            .slots_in_minutes(self.commitments.cos2.deadline_minutes())
+    }
+
+    /// `evaluate(capacity).fits`, stopping at the first failed constraint
+    /// in [`evaluate`](Self::evaluate)'s order (memory, CoS1, θ,
+    /// deadline): the θ scan stops once its running minimum fails the
+    /// commitment, and the deadline scan runs only when θ passes.
+    fn fits(&self, capacity: f64) -> bool {
+        if self.guarantee_violation(capacity).is_some() {
+            return false;
+        }
+        let target = self.commitments.cos2.theta();
+        theta_scan(self.load, capacity, target) + EPSILON >= target
+            && deadline_satisfied(self.load, capacity, self.deadline_slots())
     }
 
     /// Binary-searches the smallest capacity in `[0, limit]` that
@@ -621,17 +652,17 @@ impl<'a> FitRequest<'a> {
         let tolerance = self.options.tolerance();
         assert!(tolerance > 0.0, "tolerance must be positive");
         assert!(limit > 0.0, "capacity limit must be positive");
-        if !self.evaluate(limit).fits {
+        if !self.fits(limit) {
             return None;
         }
         let mut hi = limit;
         let mut lo = 0.0f64;
-        if self.evaluate(lo.max(EPSILON)).fits {
+        if self.fits(lo.max(EPSILON)) {
             return Some(0.0);
         }
         while hi - lo > tolerance {
             let mid = 0.5 * (hi + lo);
-            if self.evaluate(mid).fits {
+            if self.fits(mid) {
                 hi = mid;
             } else {
                 lo = mid;

@@ -66,6 +66,50 @@ fn reference_deadline_satisfied(totals: &[f64], capacity: f64, deadline_slots: u
     backlog.is_empty()
 }
 
+/// `FitRequest::required_capacity` as it stood before the early-exit
+/// fit check: the same bisection, driven by the full
+/// `evaluate(..).fits` report at every probe.
+fn reference_required_capacity(
+    request: &FitRequest<'_>,
+    limit: f64,
+    tolerance: f64,
+) -> Option<f64> {
+    if !request.evaluate(limit).fits {
+        return None;
+    }
+    let mut hi = limit;
+    let mut lo = 0.0f64;
+    if request.evaluate(lo.max(BACKLOG_EPSILON)).fits {
+        return Some(0.0);
+    }
+    while hi - lo > tolerance {
+        let mid = 0.5 * (hi + lo);
+        if request.evaluate(mid).fits {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    Some(hi)
+}
+
+/// A one-week CoS2 trace whose access probability at capacity `limit`
+/// first dips to just under `theta` (within the fit slack), on
+/// slot-of-day 0, and then falls far below it on slot-of-day `spike`.
+/// Every other slot stays under a quarter of `limit`, so the carried-over
+/// demand drains within three slots. Only a θ check that keeps the slack
+/// in its early exit still rejects this load at `limit`.
+fn near_theta_week(background: &[f64], limit: f64, theta: f64, spike: usize) -> Vec<f64> {
+    let mut samples: Vec<f64> = background.iter().map(|b| b * limit / 80.0).collect();
+    for day in 0..7 {
+        samples[day * 24] = 0.0;
+        samples[day * 24 + spike] = 0.0;
+    }
+    samples[0] = limit / (theta - 0.5 * BACKLOG_EPSILON);
+    samples[spike] = 3.0 * limit;
+    samples
+}
+
 /// The chaos replay's per-app carry-over as it stood before [`Backlog`]:
 /// every slot drains leftover grant into the backlog, defers the slot's
 /// shortfall, then sheds entries past their deadline. Returns the bits
@@ -490,6 +534,79 @@ proptest! {
             backlog_carry_over(&slots, deadline),
             reference_carry_over(&slots, deadline)
         );
+    }
+
+    /// The early-exit `required_capacity` (stop at the first failed
+    /// constraint, cut the θ scan once its running minimum fails)
+    /// returns the same `Option<f64>`, bit for bit, as the bisection over
+    /// full `evaluate` reports, for random loads with and without memory,
+    /// θ from 0.5 to 1.0, deadlines from 0 to 24 slots, and limits near
+    /// the answer. Half the cases place a slot-of-day whose ratio sits
+    /// inside the θ slack ahead of a far lower one, at the limit itself.
+    #[test]
+    fn early_exit_required_capacity_matches_full_evaluation(
+        loads in proptest::collection::vec(
+            (demand_week(), 0.0f64..3.0, proptest::option::of(1.0f64..48.0)),
+            1..4,
+        ),
+        theta in 0.5f64..=1.0,
+        deadline in 0u32..=24,
+        memory_limit in 8.0f64..96.0,
+        coarse in 0u8..2,
+        offset in -0.5f64..0.5,
+        edge in (0u8..2, 2.0f64..16.0, 1usize..24),
+    ) {
+        let near_theta = (edge.0 == 1).then_some((edge.1, edge.2));
+        let commitments = PoolCommitments::new(CosSpec::new(theta, deadline * 60).unwrap());
+        let tolerance = if coarse == 1 { 0.05 } else { 0.01 };
+        let workloads: Vec<Workload> = loads
+            .iter()
+            .enumerate()
+            .map(|(i, (cos2, cos1, memory))| {
+                let cos2 = match near_theta {
+                    Some((limit, spike)) if i == 0 => near_theta_week(cos2, limit, theta, spike),
+                    _ => cos2.clone(),
+                };
+                let cos1 = if near_theta.is_some() { 0.0 } else { *cos1 };
+                let w = Workload::new(
+                    format!("w{i}"),
+                    Trace::constant(hourly(), cos1, 168).unwrap(),
+                    Trace::from_samples(hourly(), cos2).unwrap(),
+                )
+                .unwrap();
+                match memory {
+                    Some(gb) => w.with_memory(Trace::constant(hourly(), *gb, 168).unwrap()).unwrap(),
+                    None => w,
+                }
+            })
+            .collect();
+        let workloads = match near_theta {
+            Some(_) => workloads[..1].to_vec(),
+            None => workloads,
+        };
+        let refs: Vec<&Workload> = workloads.iter().collect();
+        let load = AggregateLoad::of(&refs).unwrap();
+        let request = FitRequest::new(&load, &commitments).with_options(
+            FitOptions::new()
+                .with_memory_capacity(memory_limit)
+                .with_tolerance(tolerance),
+        );
+        let generous = load.total_peak().max(1.0) + 1.0;
+        let mut limits = vec![generous];
+        if let Some(answer) = reference_required_capacity(&request, generous, tolerance) {
+            limits.push((answer + offset).max(0.01));
+            limits.push((answer + 0.5 * tolerance).max(0.01));
+        }
+        if let Some((limit, _)) = near_theta {
+            limits.push(limit);
+        }
+        for limit in limits {
+            prop_assert_eq!(
+                request.required_capacity(limit).map(f64::to_bits),
+                reference_required_capacity(&request, limit, tolerance).map(f64::to_bits),
+                "limit {}", limit
+            );
+        }
     }
 
     /// Fleet aggregation agrees bitwise between the `add_assign` column

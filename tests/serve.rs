@@ -196,6 +196,57 @@ proptest! {
         }
     }
 
+    /// `probe_all` is `probe` on every server in turn, bit for bit, on 1
+    /// worker thread and on 4 — including servers emptied by departures
+    /// and servers holding open-migration reservations — and it fails
+    /// exactly when `probe` does (duplicate name, misaligned trace).
+    #[test]
+    fn probe_all_matches_per_server_probes(
+        ops in proptest::collection::vec(op_strategy(), 1..40),
+        migrations in proptest::collection::vec((0usize..8, 0usize..5), 0..4),
+        candidate in (0u8..4, 0.0f64..2.0, 0.1f64..14.0, 0usize..8),
+    ) {
+        let (mode, cos1, cos2, name_ix) = candidate;
+        let probe = match mode {
+            0 => wl(&format!("app-{name_ix}"), cos1, cos2),
+            1 => Workload::new(
+                "short",
+                Trace::constant(hourly(), cos1, 100).unwrap(),
+                Trace::constant(hourly(), cos2, 100).unwrap(),
+            )
+            .unwrap(),
+            _ => wl("candidate", cos1, cos2),
+        };
+        for threads in [1, 4] {
+            let mut session = replay(&ops, threads);
+            for &(name_ix, to) in &migrations {
+                if let Some(id) = session.find(&format!("app-{name_ix}")) {
+                    if session.migrating_to(id).is_none() && session.assignment_of(id) != Some(to) {
+                        session.begin_migration(id, to).unwrap();
+                    }
+                }
+            }
+            match session.probe_all(&probe) {
+                Ok(all) => {
+                    prop_assert!(mode != 1, "misaligned candidate accepted");
+                    prop_assert_eq!(all.len(), session.server_count());
+                    let each: Vec<Option<u64>> = (0..session.server_count())
+                        .map(|s| session.probe(&probe, s).unwrap().map(f64::to_bits))
+                        .collect();
+                    let all: Vec<Option<u64>> = all.iter().map(|r| r.map(f64::to_bits)).collect();
+                    prop_assert_eq!(all, each, "threads {}", threads);
+                }
+                Err(e) => {
+                    prop_assert!(mode < 2, "valid candidate rejected: {}", e);
+                    prop_assert_eq!(
+                        session.probe(&probe, 0).unwrap_err().to_string(),
+                        e.to_string()
+                    );
+                }
+            }
+        }
+    }
+
     /// Satellite 3: removing a member and re-adding it leaves the
     /// aggregate bit-identical to a cold build — no subtraction residue.
     #[test]
@@ -402,4 +453,66 @@ fn subscribe_stream_is_byte_identical_across_runs_and_threads() {
         .filter(|l| l.contains("\"kind\":\"watch.stream.delta\""))
         .count();
     assert_eq!(deltas, 2, "one metric delta per tick command");
+}
+
+/// A subscribed admit/depart/re-admit script that opens at least six
+/// servers, so each admit's probe list is long enough to split across
+/// four workers.
+fn many_server_script() -> String {
+    let mut lines = vec![r#"{"cmd":"subscribe"}"#.to_string()];
+    for i in 0..24 {
+        let level = 3.0 + (i % 5) as f64;
+        lines.push(format!(
+            r#"{{"cmd":"admit","name":"app-{i}","level":{level}}}"#
+        ));
+        if i % 6 == 5 {
+            lines.push(r#"{"cmd":"tick"}"#.to_string());
+        }
+    }
+    for i in (0..24).step_by(3) {
+        lines.push(format!(r#"{{"cmd":"depart","name":"app-{i}"}}"#));
+    }
+    lines.push(r#"{"cmd":"tick","slots":2}"#.to_string());
+    for i in (0..24).step_by(3) {
+        let level = 2.5 + (i % 4) as f64;
+        lines.push(format!(
+            r#"{{"cmd":"admit","name":"app-{i}","level":{level}}}"#
+        ));
+    }
+    lines.push(r#"{"cmd":"tick"}"#.to_string());
+    lines.push(r#"{"cmd":"snapshot"}"#.to_string());
+    lines.push(r#"{"cmd":"shutdown"}"#.to_string());
+    lines.join("\n") + "\n"
+}
+
+#[test]
+fn many_server_admissions_replay_byte_identically_across_threads() {
+    let script = many_server_script();
+    let serial = run_script(&script, 1);
+    assert_eq!(
+        serial,
+        run_script(&script, 4),
+        "thread count must never change a response"
+    );
+    let observed = run_script_observed(&script, 1);
+    assert_eq!(
+        observed,
+        run_script_observed(&script, 4),
+        "subscribe telemetry must be byte-identical across threads"
+    );
+    let servers: std::collections::BTreeSet<u64> = serial
+        .iter()
+        .filter(|l| l.starts_with("{\"ok\":") && l.contains("\"decision\":\"accepted\""))
+        .filter_map(|l| serde_json::from_str::<serde_json::Value>(l).ok())
+        .filter_map(|v| v.get("server").and_then(serde_json::Value::as_u64))
+        .collect();
+    assert!(
+        servers.len() >= 6,
+        "script must open at least six servers, opened {servers:?}"
+    );
+    let readmitted = serial
+        .iter()
+        .filter(|l| l.contains("\"name\":\"app-21\"") && l.contains("\"decision\":\"accepted\""))
+        .count();
+    assert_eq!(readmitted, 2, "app-21 is admitted, departs and returns");
 }
